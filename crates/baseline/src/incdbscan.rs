@@ -748,14 +748,15 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
     /// without path compression, and only points near the updates since
     /// the last read boundary get their anchors (in-ball core points)
     /// re-queried — fanned over the persistent worker pool when enough
-    /// points are dirty.
+    /// points are dirty. Under delta tracking, a relabeled core point
+    /// and its `eps`-ball are the points that may anchor to it.
     fn refresh(&self) -> Arc<ClusterSnapshot> {
         let eps = self.params.eps;
         // Field borrows (not `&self`) so the closure's captures are the
         // plain-data structures the workers actually read.
         let recs = &self.recs;
         let index = &self.index;
-        self.snap.read_with_pool(
+        self.snap.read_with(
             self.recs.len(),
             || {
                 self.recs
@@ -789,7 +790,20 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
                     emit(pid, false, Anchors::from_sorted(&cores));
                 }
             },
-            &self.pipeline,
+            |relabeled, emit| {
+                // Coordinates outlive deletion, so a dead or demoted
+                // vertex still has a ball.
+                let mut ball = Vec::new();
+                for &v in relabeled {
+                    emit(v);
+                    ball.clear();
+                    index.collect_within(&recs[v as usize].coords, eps, &mut ball);
+                    for &(q, _) in &ball {
+                        emit(q);
+                    }
+                }
+            },
+            Some(&self.pipeline),
         )
     }
 

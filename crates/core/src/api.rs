@@ -87,6 +87,14 @@ pub struct ClustererStats {
     /// Id-range chunks dispatched by pool-parallel `group_all` runs
     /// (only counted when the fan-out engaged more than one worker).
     pub query_parallel_tasks: u64,
+    /// Per-point table pages (4096 ids each) copied by copy-on-write,
+    /// summed over every refresh: a page is copied when a refresh
+    /// changes an entry while a published epoch (a handle's slot, a
+    /// retained delta base, a reader's `Arc`) still shares it. Against
+    /// `snapshot_refreshes` this shows publish work following the
+    /// change, not the dataset size; it stays `0` when nothing pins an
+    /// old epoch.
+    pub snapshot_pages_copied: u64,
 }
 
 impl ClustererStats {
@@ -107,10 +115,11 @@ impl ClustererStats {
     /// Folds the shared snapshot/read-path counters into the stats
     /// (every engine reports them identically).
     pub fn with_snapshot(mut self, state: &SnapshotState) -> Self {
-        let (refreshes, relabeled, query_tasks) = state.counter_values();
+        let (refreshes, relabeled, query_tasks, pages_copied) = state.counter_values();
         self.snapshot_refreshes = refreshes;
         self.snapshot_cells_relabeled = relabeled;
         self.query_parallel_tasks = query_tasks;
+        self.snapshot_pages_copied = pages_copied;
         self
     }
 }
@@ -213,8 +222,8 @@ pub trait DynamicClusterer<const D: usize> {
     /// snapshots: handle readers never touch the refresh mutex, so
     /// query threads keep answering while the owner flushes updates.
     /// Vending (or cloning) handles is cheap; while any handle exists,
-    /// every refresh publishes through the handle slot and the
-    /// snapshot's copy-on-write takes its clone path.
+    /// every refresh publishes through the handle slot and copies the
+    /// snapshot pages it changes instead of writing them in place.
     fn epoch_handle(&self) -> EpochHandle;
 
     /// Turns the `changed_since` delta chain on or off (off by

@@ -1091,14 +1091,16 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
     /// CC labels are exported without treap rotations
     /// ([`DynConnectivity::export_labels`]), and only the cells updates
     /// touched get their anchors re-snapped — fanned over the persistent
-    /// worker pool when enough cells are dirty.
+    /// worker pool when enough cells are dirty. Under delta tracking, a
+    /// relabeled cell's `eps`-scope residents are the points that may
+    /// anchor to it.
     fn refresh(&self) -> Arc<ClusterSnapshot> {
         // Borrow the two read-only structures the re-anchoring walk
         // touches, so the closure is `Sync` without demanding it of the
         // connectivity plugin `C` (which workers never see).
         let grid = &self.grid;
         let points = &self.points;
-        self.snap.read_with_pool(
+        self.snap.read_with(
             self.points.capacity_ids(),
             || self.conn.export_labels(),
             |cell, emit| {
@@ -1112,7 +1114,8 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
                     }
                 }
             },
-            &self.pipeline,
+            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
+            Some(&self.pipeline),
         )
     }
 

@@ -598,6 +598,9 @@ impl SnapWorld {
                     emit(key, model.core[k], Anchors::One(key));
                 }
             },
+            // Vertex `v` is point `v`'s own: nothing else anchors to it.
+            |relabeled, emit| relabeled.iter().for_each(|&v| emit(v)),
+            None,
         );
         drop(model);
         drop(st);
@@ -724,9 +727,9 @@ pub fn replay_snapshot_protocol(sc: &SnapScenario) -> SnapReport {
     outcome.assert_clean(sc.seed);
 
     let state = world.state.into_inner().unwrap();
-    let (refreshes, _, _) = state.counter_values();
+    let (refreshes, _, _, _) = state.counter_values();
     let final_epoch = state
-        .read_with(sc.keys as usize, Vec::new, |_, _| {})
+        .read_with(sc.keys as usize, Vec::new, |_, _| {}, |_, _| {}, None)
         .epoch();
     assert_eq!(
         refreshes, final_epoch,
@@ -910,7 +913,7 @@ pub fn replay_handle_protocol(sc: &HandleScenario) -> HandleReport {
 
     let final_epoch = handle.epoch();
     let state = world.state.into_inner().unwrap();
-    let (refreshes, _, _) = state.counter_values();
+    let (refreshes, _, _, _) = state.counter_values();
     assert_eq!(
         refreshes, final_epoch,
         "seed {}: the handle's final epoch must equal the refresh count",

@@ -550,13 +550,15 @@ impl<const D: usize> SemiDynDbscan<D> {
     /// Refreshes (if dirty) and returns the current epoch snapshot: the
     /// union-find labels are exported without path compression, and only
     /// the cells updates touched get their anchors re-snapped — fanned
-    /// over the persistent worker pool when enough cells are dirty.
+    /// over the persistent worker pool when enough cells are dirty. Under
+    /// delta tracking, a relabeled cell's `eps`-scope residents are the
+    /// points that may anchor to it.
     fn refresh(&self) -> Arc<ClusterSnapshot> {
         // Field borrows (not `&self`) so the closure's captures are the
         // plain-data structures the workers actually read.
         let grid = &self.grid;
         let points = &self.points;
-        self.snap.read_with_pool(
+        self.snap.read_with(
             self.points.capacity_ids(),
             || self.uf.export_labels(),
             |cell, emit| {
@@ -570,7 +572,8 @@ impl<const D: usize> SemiDynDbscan<D> {
                     }
                 }
             },
-            &self.pipeline,
+            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
+            Some(&self.pipeline),
         )
     }
 

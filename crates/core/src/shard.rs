@@ -443,22 +443,33 @@ impl<const D: usize, E: ShardEngine<D>> ShardedDbscan<D, E> {
         labels
     }
 
-    /// Refreshes (if dirty) and returns the composed epoch snapshot.
+    /// Refreshes (if dirty) and returns the composed epoch snapshot,
+    /// fanning the re-anchoring over the wrapper pool when enough keys
+    /// are dirty. Under delta tracking, the points that may anchor to a
+    /// relabeled composed key are the owning shard's `eps`-scope
+    /// residents of its cell, mapped to global ids.
     fn refresh(&self) -> Arc<ClusterSnapshot> {
         let s = self.map.shards as u32;
+        // Per-shard read-only views, so the re-anchoring closure is
+        // `Sync` without demanding it of the engines.
+        let views: Vec<(&GridIndex<D>, &PointArena)> = self
+            .engines
+            .iter()
+            .map(|e| (e.shard_grid(), e.shard_points()))
+            .collect();
+        let to_global = &self.to_global;
         self.snap.read_with(
             self.next_id as usize,
             || self.export_composed_labels(),
             |key, emit| {
                 let (t, c) = ((key % s) as usize, key / s);
-                let e = &self.engines[t];
-                let (grid, points) = (e.shard_grid(), e.shard_points());
+                let (grid, points) = views[t];
                 let cell = grid.cell(c);
                 // Only owned cells are marked, and every resident of an
                 // owned cell is an owned point: each alive point is
                 // emitted by exactly one key.
                 for (slot, &lid) in cell.all.items().iter().enumerate() {
-                    let gid = self.to_global[t][lid as usize];
+                    let gid = to_global[t][lid as usize];
                     if points.is_core(lid) {
                         emit(gid, true, Anchors::One(key));
                     } else {
@@ -468,6 +479,22 @@ impl<const D: usize, E: ShardEngine<D>> ShardedDbscan<D, E> {
                     }
                 }
             },
+            |keys, emit| {
+                for (t, &(grid, _)) in views.iter().enumerate() {
+                    // Keys past a shard's cells are label-table padding.
+                    let cells: Vec<CellId> = keys
+                        .iter()
+                        .filter(|&&k| {
+                            (k % s) as usize == t && ((k / s) as usize) < grid.num_cells()
+                        })
+                        .map(|&k| k / s)
+                        .collect();
+                    crate::snapshot::eps_scope_residents(grid, &cells, &mut |lid| {
+                        emit(to_global[t][lid as usize]);
+                    });
+                }
+            },
+            Some(&self.pipeline),
         )
     }
 }

@@ -394,7 +394,7 @@ fn registry_levels_keep_snapshot_refresh_above_pool_fanout() {
         let seed = rng.next_u64();
         let inner = LevelLock::new("SnapshotState.inner", inner_level);
         let pool = LevelLock::new("FlushPipeline.pool", pool_level);
-        // The narrowed read_with_pool protocol: drain under `inner`
+        // The narrowed pooled read_with protocol: drain under `inner`
         // alone, fan out under `pool` alone, publish under `inner`
         // alone — plus two concurrent group_all readers on the pool.
         let mut actors: Vec<Actor<'_>> = vec![Box::new(|y| {

@@ -14,6 +14,10 @@
 //!   `SnapshotDelta::compose`) into the direct wire diff E→E'', and
 //!   both must equal `SnapshotDelta::between` on the replica's
 //!   snapshots at E and E''.
+//! * `change_feed_resets_a_client_past_the_window_then_resyncs` — a
+//!   client 70 epochs behind gets `Reset{oldest, current}` naming the
+//!   newest 64 epochs, resyncs with `group_all`, and every later wire
+//!   delta equals `SnapshotDelta::between` on the replica.
 //! * `malformed_bytes_get_error_responses_never_panics` — hostile
 //!   frames (unknown opcode, truncated body, hostile counts, absurd
 //!   length prefix) draw error responses or a closed connection, never
@@ -279,6 +283,85 @@ fn change_feed_composes_and_matches_local_between() {
         direct.entries, local.entries,
         "direct wire diff != local between"
     );
+
+    client.shutdown().unwrap();
+    drop(client);
+    assert!(server.join().unwrap().epochs_monotone);
+}
+
+#[test]
+fn change_feed_resets_a_client_past_the_window_then_resyncs() {
+    let cfg = ServerConfig::default();
+    let server = Server::start(cfg.clone()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    let mut engine = replica(&cfg);
+    let mut snaps: BTreeMap<u64, Arc<dydbscan_core::ClusterSnapshot>> = BTreeMap::new();
+    snaps.insert(0, engine.snapshot());
+    let mut rng = SplitMix64::new(70);
+    let mut alive: Vec<PointId> = Vec::new();
+    // One mutation over the wire and on the replica, returning the
+    // replica's snapshot at the acked epoch; every fourth deletes a
+    // third of the survivors so clusters split as well.
+    let mut step = |client: &mut Client, step: usize| {
+        let epoch = if step % 4 == 3 {
+            let kill: Vec<PointId> = alive.iter().step_by(3).copied().collect();
+            alive.retain(|id| !kill.contains(id));
+            engine.delete_batch(&kill);
+            client.delete(&kill).unwrap()
+        } else {
+            let rows = gen_rows(&mut rng, 24, 12.0);
+            let (epoch, ids) = client.insert(&rows).unwrap();
+            assert_eq!(ids, engine.insert_batch(&rows));
+            alive.extend(ids);
+            epoch
+        };
+        let snap = engine.snapshot();
+        assert_eq!(snap.epoch(), epoch);
+        snap
+    };
+
+    // The client saw epoch 0, then falls 70 epochs behind: past the
+    // 64-epoch window.
+    for s in 0..70 {
+        let snap = step(&mut client, s);
+        snaps.insert(snap.epoch(), snap);
+    }
+    let current = match client.changed_since(0).unwrap() {
+        WireFeed::Reset { oldest, current } => {
+            assert_eq!(current, 70);
+            assert_eq!(current - oldest, 64, "the window is the newest 64 epochs");
+            current
+        }
+        WireFeed::Delta { from, to, .. } => {
+            panic!("epoch 0 is 70 epochs behind, yet the feed answered {from}→{to}")
+        }
+    };
+
+    // Resync from a full clustering (the only client is quiet, so it
+    // answers at `current`), then follow the feed again.
+    let g = client.group_all().unwrap();
+    assert_eq!(g.epoch, current);
+    let local = snaps[&current].group_all();
+    assert_eq!(
+        norm(&g.groups, &g.noise),
+        norm(&local.groups, &local.noise),
+        "resync group_all diverged from the replica"
+    );
+    let mut prev = current;
+    for s in 70..80 {
+        let snap = step(&mut client, s);
+        let epoch = snap.epoch();
+        snaps.insert(epoch, snap);
+        let delta = as_delta(client.changed_since(prev).unwrap());
+        assert_eq!((delta.from, delta.to), (prev, epoch));
+        let local = SnapshotDelta::between(&snaps[&prev], &snaps[&epoch]);
+        assert_eq!(
+            delta.entries, local.entries,
+            "wire delta {prev}→{epoch} after the resync diverged from the replica"
+        );
+        prev = epoch;
+    }
 
     client.shutdown().unwrap();
     drop(client);
