@@ -75,8 +75,9 @@ pub struct ShardTaps {
 ///
 /// This is an internal extension point of the crate — implemented for
 /// [`SemiDynDbscan`] and [`FullDynDbscan`]; downstream code only needs
-/// it as a bound.
-pub trait ShardEngine<const D: usize>: DynamicClusterer<D> + Send {
+/// it as a bound. `Sync`, because the composed snapshot refresh reads
+/// the shards' grids and arenas from pool workers.
+pub trait ShardEngine<const D: usize>: DynamicClusterer<D> + Send + Sync {
     /// The shard's grid (read-only; cell ids are shard-local).
     fn shard_grid(&self) -> &GridIndex<D>;
     /// The shard's point arena (read-only; point ids are shard-local).
@@ -114,7 +115,7 @@ impl<const D: usize> ShardEngine<D> for SemiDynDbscan<D> {
     }
 }
 
-impl<const D: usize, C: DynConnectivity + Send> ShardEngine<D> for FullDynDbscan<D, C> {
+impl<const D: usize, C: DynConnectivity + Send + Sync> ShardEngine<D> for FullDynDbscan<D, C> {
     fn shard_grid(&self) -> &GridIndex<D> {
         FullDynDbscan::shard_grid(self)
     }
@@ -450,20 +451,13 @@ impl<const D: usize, E: ShardEngine<D>> ShardedDbscan<D, E> {
     /// residents of its cell, mapped to global ids.
     fn refresh(&self) -> Arc<ClusterSnapshot> {
         let s = self.map.shards as u32;
-        // Per-shard read-only views, so the re-anchoring closure is
-        // `Sync` without demanding it of the engines.
-        let views: Vec<(&GridIndex<D>, &PointArena)> = self
-            .engines
-            .iter()
-            .map(|e| (e.shard_grid(), e.shard_points()))
-            .collect();
-        let to_global = &self.to_global;
+        let (engines, to_global) = (&self.engines, &self.to_global);
         self.snap.read_with(
             self.next_id as usize,
             || self.export_composed_labels(),
             |key, emit| {
                 let (t, c) = ((key % s) as usize, key / s);
-                let (grid, points) = views[t];
+                let (grid, points) = (engines[t].shard_grid(), engines[t].shard_points());
                 let cell = grid.cell(c);
                 // Only owned cells are marked, and every resident of an
                 // owned cell is an owned point: each alive point is
@@ -480,7 +474,8 @@ impl<const D: usize, E: ShardEngine<D>> ShardedDbscan<D, E> {
                 }
             },
             |keys, emit| {
-                for (t, &(grid, _)) in views.iter().enumerate() {
+                for (t, e) in engines.iter().enumerate() {
+                    let grid = e.shard_grid();
                     // Keys past a shard's cells are label-table padding.
                     let cells: Vec<CellId> = keys
                         .iter()

@@ -36,12 +36,11 @@
 //! the owner applies the next batch: the engine's refresh goes through
 //! `Arc::make_mut`, so a published snapshot is never written through.
 //!
-//! The per-point tables are flat vectors while nothing shares the
-//! snapshot (the in-place refresh), and fixed-size `Arc` pages
-//! (`PAGE_IDS` ids each) from the first refresh that finds it shared;
-//! the label table sits behind its own `Arc`. Building the next epoch
-//! next to a published one then copies the page directory plus the
-//! pages holding a real change — never a whole table.
+//! The per-point tables are split into fixed-size `Arc` pages
+//! (`PAGE_IDS` ids each) and the label table sits behind its own `Arc`,
+//! so building the next epoch next to a published one copies the page
+//! directory plus the pages holding a real change — never a whole
+//! table. A refresh nothing shares writes every page in place.
 //!
 //! [`SnapshotState`] is the engine-owned half: the current `Arc`, the
 //! dirty key set, the dead list, and the query counters surfaced in
@@ -163,9 +162,9 @@ pub struct ClusterSnapshot {
     /// export replaces anyway.
     labels: Arc<Vec<CompId>>,
     /// `F_ALIVE | F_CORE` per point id ever issued up to this epoch.
-    flags: Table<u8>,
+    flags: Paged<u8>,
     /// Anchor vertices per point id.
-    anchors: Table<Anchors>,
+    anchors: Paged<Anchors>,
     /// Alive points at this epoch (maintained by the refresh so `len`
     /// stays O(1)).
     alive: usize,
@@ -176,142 +175,14 @@ pub struct ClusterSnapshot {
 /// per page) is what a clone of the snapshot copies.
 pub(crate) const PAGE_IDS: usize = 4096;
 
-/// A per-point table: one flat vector until the snapshot is first
-/// cloned (a refresh found it shared), [`Paged`] from then on. An
-/// engine that never publishes to a handle refreshes in place, and its
-/// random writes into a flat vector measured 1.7x faster than into
-/// pages (`paper_mixed_d3` rewrites most ids between queries). A
-/// serving engine shares every epoch: it pays one full copy at the
-/// first shared refresh, then only the pages it changes.
-#[derive(Debug, PartialEq)]
-enum Table<T> {
-    Flat(Vec<T>),
-    Paged(Paged<T>),
-}
-
-impl<T> Default for Table<T> {
-    fn default() -> Self {
-        Table::Flat(Vec::new())
-    }
-}
-
-impl<T: Clone + Default> Clone for Table<T> {
-    /// Cloning pages the table, so every later clone shares pages.
-    fn clone(&self) -> Self {
-        Table::Paged(match self {
-            Table::Flat(v) => Paged {
-                pages: v
-                    .chunks(PAGE_IDS)
-                    .map(|chunk| {
-                        let mut page = chunk.to_vec();
-                        page.resize(PAGE_IDS, T::default());
-                        page.into()
-                    })
-                    .collect(),
-                len: v.len(),
-            },
-            Table::Paged(p) => p.clone(),
-        })
-    }
-}
-
-impl<T: Clone + Default + PartialEq> Table<T> {
-    /// Ids the table covers.
-    fn len(&self) -> usize {
-        match self {
-            Table::Flat(v) => v.len(),
-            Table::Paged(p) => p.len,
-        }
-    }
-
-    /// The entry of id `i` (`i < len`).
-    #[inline]
-    fn get(&self, i: usize) -> &T {
-        match self {
-            Table::Flat(v) => &v[i],
-            Table::Paged(p) => p.get(i),
-        }
-    }
-
-    /// The covered entries in id order, in one or more slices.
-    fn chunks(&self) -> impl Iterator<Item = &[T]> {
-        let (flat, paged) = match self {
-            Table::Flat(v) => (Some(v.as_slice()), None),
-            Table::Paged(p) => (None, Some(p.chunks())),
-        };
-        flat.into_iter().chain(paged.into_iter().flatten())
-    }
-
-    /// Covers ids up to `len` (never shrinks: ids are never reused).
-    fn grow(&mut self, len: usize) {
-        match self {
-            Table::Flat(v) => {
-                if v.len() < len {
-                    v.resize(len, T::default());
-                }
-            }
-            Table::Paged(p) => p.grow(len),
-        }
-    }
-
-    /// Pages the table holds (`0` while flat).
-    fn page_count(&self) -> u64 {
-        match self {
-            Table::Flat(_) => 0,
-            Table::Paged(p) => p.pages.len() as u64,
-        }
-    }
-
-    /// Write access for one refresh.
-    fn writer(&mut self) -> TableWriter<'_, T> {
-        match self {
-            Table::Flat(v) => TableWriter::Flat(v),
-            Table::Paged(p) => TableWriter::Paged(p.writer()),
-        }
-    }
-}
-
-/// Write access to a [`Table`] for one refresh.
-enum TableWriter<'a, T> {
-    Flat(&'a mut [T]),
-    Paged(PageWriter<'a, T>),
-}
-
-impl<T: Clone + PartialEq> TableWriter<'_, T> {
-    #[inline]
-    fn get(&self, i: usize) -> &T {
-        match self {
-            TableWriter::Flat(v) => &v[i],
-            TableWriter::Paged(w) => w.get(i),
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, v: T) {
-        match self {
-            TableWriter::Flat(t) => t[i] = v,
-            TableWriter::Paged(w) => w.set(i, v),
-        }
-    }
-
-    /// Pages copied because another epoch shared them.
-    fn copied(&self) -> u64 {
-        match self {
-            TableWriter::Flat(_) => 0,
-            TableWriter::Paged(w) => w.copied,
-        }
-    }
-}
-
 /// A per-point table in fixed-size [`PAGE_IDS`]-id `Arc` pages.
-/// Cloning it clones the page directory only;
-/// writes go through a [`PageWriter`], which copies a page only when a
-/// value in it really changes and the page is still shared with
-/// another epoch.
-#[derive(Debug, Clone, PartialEq)]
+/// Cloning it clones the page directory only; writes go through a
+/// [`PageWriter`], which copies a page only when a value in it really
+/// changes and the page is still shared with another epoch.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Paged<T> {
-    /// Slices, so a page's entries sit in the `Arc`'s own allocation:
-    /// one pointer from the directory to an entry.
+    /// Every page holds exactly `PAGE_IDS` entries, in the `Arc`'s own
+    /// allocation: one pointer from the directory to an entry.
     pages: Vec<Arc<[T]>>,
     /// Ids the table covers (the tail of the last page reads default).
     len: usize,
@@ -345,7 +216,7 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
     /// Write access for one refresh (see [`PageWriter`]).
     fn writer(&mut self) -> PageWriter<'_, T> {
         PageWriter {
-            pages: self.pages.iter_mut().map(Page::Shared).collect(),
+            pages: self.pages.iter_mut().map(Page::Unwritten).collect(),
             copied: 0,
         }
     }
@@ -354,17 +225,18 @@ impl<T: Clone + Default + PartialEq> Paged<T> {
 /// One page of a [`PageWriter`].
 enum Page<'a, T> {
     /// Not written this refresh: may still be shared with another epoch.
-    Shared(&'a mut Arc<[T]>),
+    Unwritten(&'a mut Arc<[T]>),
     /// Written this refresh, so exclusively this epoch's.
-    Owned(&'a mut [T]),
-    /// Only while a page turns from shared to owned.
+    Owned(&'a mut [T; PAGE_IDS]),
+    /// Only while a page turns from unwritten to owned.
     Moving,
 }
 
 /// Write access to a [`Paged`] table for one refresh. A page's
 /// copy-on-write check (`Arc::get_mut`, an atomic read-modify-write)
 /// runs once, at the page's first real change, not once per write:
-/// per write it cost more than the write itself.
+/// per write it cost more than the write itself. A refresh nothing
+/// shares finds every page exclusive and copies none.
 struct PageWriter<'a, T> {
     pages: Vec<Page<'a, T>>,
     /// Pages copied because another epoch shared them.
@@ -372,39 +244,41 @@ struct PageWriter<'a, T> {
 }
 
 impl<T: Clone + PartialEq> PageWriter<'_, T> {
-    /// The entry of id `i`.
+    /// Stores `v` at id `i` and returns the value it replaced.
     #[inline]
-    fn get(&self, i: usize) -> &T {
-        match &self.pages[i / PAGE_IDS] {
-            Page::Shared(page) => &page[i % PAGE_IDS],
-            Page::Owned(page) => &page[i % PAGE_IDS],
-            Page::Moving => unreachable!("a page is moving only inside `set`"),
+    fn replace(&mut self, i: usize, v: T) -> T {
+        let (p, o) = (i / PAGE_IDS, i % PAGE_IDS);
+        match &mut self.pages[p] {
+            Page::Owned(page) => std::mem::replace(&mut page[o], v),
+            _ => self.replace_unwritten(p, o, v),
         }
     }
 
-    /// Stores `v` at id `i`. A shared page is compared first and made
-    /// exclusive (copied if another epoch holds it) only if `v` differs.
-    #[inline]
-    fn set(&mut self, i: usize, v: T) {
-        let (p, o) = (i / PAGE_IDS, i % PAGE_IDS);
-        if let Page::Shared(page) = &self.pages[p] {
+    /// [`replace`](Self::replace) into a page not yet written this
+    /// refresh: compared first, and made exclusive (copied if another
+    /// epoch holds it) only if `v` differs. Out of line, so the owned
+    /// case stays small enough to inline into the apply loop.
+    #[inline(never)]
+    fn replace_unwritten(&mut self, p: usize, o: usize, v: T) -> T {
+        if let Page::Unwritten(page) = &self.pages[p] {
             if page[o] == v {
-                return;
+                return v;
             }
-            let Page::Shared(page) = std::mem::replace(&mut self.pages[p], Page::Moving) else {
-                unreachable!("matched as shared above");
-            };
-            if Arc::get_mut(page).is_none() {
-                *page = Arc::from(&page[..]);
-                self.copied += 1;
-            }
-            let owned = Arc::get_mut(page).expect("a fresh copy is exclusive");
-            self.pages[p] = Page::Owned(owned);
         }
-        let Page::Owned(page) = &mut self.pages[p] else {
-            unreachable!("made owned above");
+        let Page::Unwritten(page) = std::mem::replace(&mut self.pages[p], Page::Moving) else {
+            unreachable!("a page is moving only inside this call");
         };
-        page[o] = v;
+        if Arc::get_mut(page).is_none() {
+            *page = Arc::from(&page[..]);
+            self.copied += 1;
+        }
+        let owned: &mut [T; PAGE_IDS] = Arc::get_mut(page)
+            .expect("a fresh copy is exclusive")
+            .try_into()
+            .expect("every page holds PAGE_IDS ids");
+        let old = std::mem::replace(&mut owned[o], v);
+        self.pages[p] = Page::Owned(owned);
+        old
     }
 }
 
@@ -427,14 +301,14 @@ impl ClusterSnapshot {
     /// Ids ever issued up to this epoch (the exclusive upper bound of
     /// valid query ids).
     pub fn num_ids(&self) -> usize {
-        self.flags.len()
+        self.flags.len
     }
 
     /// The flags of `id` (`0` — dead, non-core — past the issued ids).
     #[inline]
     fn flag(&self, id: PointId) -> u8 {
         let i = id as usize;
-        if i < self.flags.len() {
+        if i < self.flags.len {
             *self.flags.get(i)
         } else {
             0
@@ -559,7 +433,7 @@ impl ClusterSnapshot {
     /// The full clustering at this epoch (`Q =` every alive point).
     pub fn group_all(&self) -> Clustering {
         let part = self
-            .group_ids_range(0, self.flags.len() as u32)
+            .group_ids_range(0, self.flags.len as u32)
             .expect("alive ids cannot be dead");
         Self::merge_parts([part])
     }
@@ -575,7 +449,7 @@ impl ClusterSnapshot {
             noise: Vec::new(),
         };
         let mut scratch: Vec<CompId> = Vec::new();
-        let hi = (hi as usize).min(self.flags.len());
+        let hi = (hi as usize).min(self.flags.len);
         for pid in lo as usize..hi {
             if self.flags.get(pid) & F_ALIVE != 0 {
                 self.group_one(pid as PointId, &mut part, &mut scratch)?;
@@ -653,8 +527,8 @@ impl ClusterSnapshot {
 /// re-anchoring funnel through, which is what makes "pooled ≡ serial"
 /// a matter of emission order alone.
 struct SnapshotWriter<'a> {
-    flags: TableWriter<'a, u8>,
-    anchors: TableWriter<'a, Anchors>,
+    flags: PageWriter<'a, u8>,
+    anchors: PageWriter<'a, Anchors>,
     alive: &'a mut usize,
 }
 
@@ -662,45 +536,26 @@ impl SnapshotWriter<'_> {
     /// Clears the slot of a point that died.
     fn kill(&mut self, id: PointId) {
         let i = id as usize;
-        if self.flags.get(i) & F_ALIVE != 0 {
+        if self.flags.replace(i, 0) & F_ALIVE != 0 {
             *self.alive -= 1;
         }
-        self.flags.set(i, 0);
-        self.anchors.set(i, Anchors::None);
+        self.anchors.replace(i, Anchors::None);
     }
 
-    /// Applies one re-anchoring emission. Both tables are flat or both
-    /// paged; the flat (in-place) case is plain vector writes, kept
-    /// small enough to inline into the apply loop.
+    /// Applies one re-anchoring emission.
     #[inline]
     fn emit(&mut self, pid: PointId, core: bool, anchors: Anchors) {
         let i = pid as usize;
         let f = F_ALIVE | if core { F_CORE } else { 0 };
-        if let (TableWriter::Flat(flags), TableWriter::Flat(table)) =
-            (&mut self.flags, &mut self.anchors)
-        {
-            if flags[i] & F_ALIVE == 0 {
-                *self.alive += 1; // first time this id is seen alive
-            }
-            flags[i] = f;
-            table[i] = anchors;
-        } else {
-            self.emit_paged(i, f, anchors);
+        if self.flags.replace(i, f) & F_ALIVE == 0 {
+            *self.alive += 1; // first time this id is seen alive
         }
-    }
-
-    #[inline(never)]
-    fn emit_paged(&mut self, i: usize, f: u8, anchors: Anchors) {
-        if self.flags.get(i) & F_ALIVE == 0 {
-            *self.alive += 1;
-        }
-        self.flags.set(i, f);
-        self.anchors.set(i, anchors);
+        self.anchors.replace(i, anchors);
     }
 
     /// Pages copied because a published epoch still shared them.
     fn pages_copied(&self) -> u64 {
-        self.flags.copied() + self.anchors.copied()
+        self.flags.copied + self.anchors.copied
     }
 }
 
@@ -1127,8 +982,8 @@ impl EpochHandle {
 
     /// Everything that changed since epoch `since`, as one composed
     /// [`SnapshotDelta`] — or [`ChangeFeed::Reset`] when the chain
-    /// cannot answer (tracking off, `since` outside the window or
-    /// inside a compacted span). Requires
+    /// cannot answer (tracking off, or `since` outside the window of
+    /// the newest 64 epochs). Requires
     /// [`SnapshotState::set_track_deltas`]`(true)` on the engine;
     /// without it every call answers `Reset`.
     pub fn changed_since(&self, since: u64) -> ChangeFeed {
@@ -1412,10 +1267,6 @@ impl SnapshotState {
             ReadPath::Refresh(work) => work,
         };
         let track = work.old.is_some();
-        if track {
-            // Deaths must be captured before `begin_refresh` drains them.
-            work.candidates.extend_from_slice(&work.dead);
-        }
         let RefreshWork {
             keys,
             dead,
@@ -1423,9 +1274,11 @@ impl SnapshotState {
             candidates,
             ..
         } = &mut work;
-        let (s, paged) = Self::begin_refresh(snap, total_ids, export_labels);
-        let mut w = s.writer();
+        let mut w = Self::begin_refresh(snap, total_ids, export_labels).writer();
         for id in dead.drain(..) {
+            if track {
+                candidates.push(id);
+            }
             w.kill(id);
         }
         match pool {
@@ -1441,8 +1294,6 @@ impl SnapshotState {
                     });
                     out
                 });
-                // Plain nested loops: a `flatten()` over the parts, or a
-                // closure around the body, measured 1.5-3x slower here.
                 for part in parts {
                     for (pid, core, anchors) in part {
                         if track {
@@ -1466,7 +1317,7 @@ impl SnapshotState {
                 }
             }
         }
-        self.note_refresh(keys.len() as u64, paged + w.pages_copied());
+        self.note_refresh(keys.len() as u64, w.pages_copied());
         drop(w);
         work.finish_delta(anchor_scope);
         work.publish()
@@ -1523,25 +1374,18 @@ impl SnapshotState {
     /// Opens a refresh epoch on the copy-on-write snapshot: bumps the
     /// epoch, grows the per-point tables, and exports labels. A shared
     /// snapshot is cloned first, which copies the page directories, not
-    /// the pages — except the first time, when the clone pages the flat
-    /// tables; that copy is returned as pages copied.
+    /// the pages.
     fn begin_refresh(
         snap: &mut Arc<ClusterSnapshot>,
         total_ids: usize,
         export_labels: impl FnOnce() -> Vec<CompId>,
-    ) -> (&mut ClusterSnapshot, u64) {
-        let paging = Arc::get_mut(snap).is_none() && matches!(snap.flags, Table::Flat(_));
+    ) -> &mut ClusterSnapshot {
         let s = Arc::make_mut(snap);
-        let copied = if paging {
-            s.flags.page_count() + s.anchors.page_count()
-        } else {
-            0
-        };
         s.epoch += 1;
         s.flags.grow(total_ids);
         s.anchors.grow(total_ids);
         s.labels = Arc::new(export_labels());
-        (s, copied)
+        s
     }
 
     /// Folds one completed refresh into the stat counters.
@@ -1745,11 +1589,22 @@ pub fn group_all_pooled(
 mod tests {
     use super::*;
 
+    fn paged<T: Clone + Default + PartialEq>(entries: Vec<T>) -> Paged<T> {
+        let mut table = Paged::default();
+        table.grow(entries.len());
+        let mut w = table.writer();
+        for (i, v) in entries.into_iter().enumerate() {
+            w.replace(i, v);
+        }
+        drop(w);
+        table
+    }
+
     fn snap_with(labels: Vec<CompId>, pts: Vec<(bool, bool, Anchors)>) -> ClusterSnapshot {
         ClusterSnapshot {
             epoch: 1,
             labels: Arc::new(labels),
-            flags: Table::Flat(
+            flags: paged(
                 pts.iter()
                     .map(|&(alive, core, _)| {
                         (if alive { F_ALIVE } else { 0 }) | (if core { F_CORE } else { 0 })
@@ -1757,7 +1612,7 @@ mod tests {
                     .collect(),
             ),
             alive: pts.iter().filter(|&&(alive, _, _)| alive).count(),
-            anchors: Table::Flat(pts.into_iter().map(|(_, _, a)| a).collect()),
+            anchors: paged(pts.into_iter().map(|(_, _, a)| a).collect()),
         }
     }
 
@@ -1992,24 +1847,24 @@ mod tests {
         )
     }
 
-    /// A state whose epochs are shared (here through a handle) pages its
-    /// tables at the first publish; one refreshing in place keeps them
-    /// flat. Both must publish the same content at every epoch.
+    /// A state whose epochs are shared (here through a handle) copies
+    /// the pages it changes; one refreshing in place copies none. Both
+    /// must publish the same content at every epoch.
     #[test]
-    fn paged_and_flat_tables_publish_identical_epochs() {
-        let mut flat = SnapshotState::new();
-        let mut paged = SnapshotState::new();
-        let _handle = paged.epoch_handle();
+    fn in_place_and_shared_refreshes_publish_identical_epochs() {
+        let mut in_place = SnapshotState::new();
+        let mut shared = SnapshotState::new();
+        let _handle = shared.epoch_handle();
         for r in 1..=6 {
             // Nothing keeps `x`, so the next round refreshes it in place.
-            let x = churn_round(&mut flat, r);
-            let y = churn_round(&mut paged, r);
-            assert!(matches!(x.flags, Table::Flat(_)));
-            assert!(matches!(y.flags, Table::Paged(_)));
+            let x = churn_round(&mut in_place, r);
+            let y = churn_round(&mut shared, r);
             assert_eq!(x.checksum(), y.checksum(), "epoch {}", x.epoch());
             assert_eq!(x.group_all(), y.group_all(), "epoch {}", x.epoch());
         }
-        let (_, _, _, copied) = paged.counter_values();
+        let (_, _, _, copied) = in_place.counter_values();
+        assert_eq!(copied, 0, "an unshared epoch is written in place");
+        let (_, _, _, copied) = shared.counter_values();
         assert!(copied > 0, "shared pages are copied, not written through");
     }
 
