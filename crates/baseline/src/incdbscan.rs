@@ -26,38 +26,23 @@
 //!
 //! The deletion path is exactly what the paper blames for IncDBSCAN's
 //! two-orders-of-magnitude loss: splits trigger BFS whose cost is the size
-//! of the smaller fragment *times* range-query cost. [`IncStats`] exposes
-//! per-operation provenance so the benchmarks can attribute the spikes.
+//! of the smaller fragment *times* range-query cost. The engine's
+//! [`ClustererStats`] expose per-operation provenance (`range_queries`,
+//! `points_touched`, `bfs_expansions`, `splits`, `label_merges`) so the
+//! benchmarks can attribute the spikes.
 
 use crate::index::RangeIndex;
 use dydbscan_conn::UnionFind;
 use dydbscan_core::snapshot::{Anchors, SnapshotState};
 use dydbscan_core::{
     ClusterSnapshot, ClustererStats, Clustering, DynamicClusterer, EpochHandle, FlushPhase,
-    FlushPipeline, GroupBy, Params, PointId, QueryError,
+    FlushPipeline, GroupBy, Params, PointId,
 };
 use dydbscan_geom::{FxHashMap, Point};
 use dydbscan_spatial::RTree;
 use std::sync::Arc;
 
 const NO_LABEL: u32 = u32::MAX;
-
-/// Operation counters for cost provenance in benchmarks. The shared
-/// batch/parallelism counters live in the engine's
-/// [`FlushPipeline`] — see [`IncDbscan::flush_stats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IncStats {
-    /// Range queries issued (updates and BFS expansions).
-    pub range_queries: u64,
-    /// Total points returned by range queries.
-    pub points_touched: u64,
-    /// BFS expansion steps across all deletions.
-    pub bfs_expansions: u64,
-    /// Deletions that split a cluster.
-    pub splits: u64,
-    /// Label merges (insertion-side cluster merges).
-    pub label_merges: u64,
-}
 
 #[derive(Debug, Clone)]
 struct Rec<const D: usize> {
@@ -75,7 +60,7 @@ struct Rec<const D: usize> {
 ///
 /// ```
 /// use dydbscan_baseline::IncDbscan;
-/// use dydbscan_core::Params;
+/// use dydbscan_core::{DynamicClusterer, Params};
 ///
 /// let mut c = IncDbscan::<2>::new(Params::new(1.0, 3));
 /// let a = c.insert([0.0, 0.0]);
@@ -94,7 +79,9 @@ pub struct IncDbscan<const D: usize, I: RangeIndex<D> = RTree<D>> {
     recs: Vec<Rec<D>>,
     labels: UnionFind,
     alive: usize,
-    stats: IncStats,
+    /// Operation counters; the flush and snapshot counters are filled in
+    /// by `stats()`.
+    stats: ClustererStats,
     scratch: Vec<(u32, f64)>,
     /// The batch flush pipeline: thread budget, persistent worker pool,
     /// shared flush counters. The baseline fans its per-point range
@@ -137,7 +124,7 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
             recs: Vec::new(),
             labels: UnionFind::new(),
             alive: 0,
-            stats: IncStats::default(),
+            stats: ClustererStats::default(),
             scratch: Vec::new(),
             pipeline: FlushPipeline::new(),
             snap: SnapshotState::new(),
@@ -157,51 +144,9 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
         self.pipeline.threads()
     }
 
-    /// The shared flush-pipeline counters (batching + parallelism).
-    pub fn flush_stats(&self) -> dydbscan_core::FlushStats {
-        self.pipeline.stats()
-    }
-
-    /// The clustering parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// Number of alive points.
-    pub fn len(&self) -> usize {
-        self.alive
-    }
-
-    /// True if no alive points.
-    pub fn is_empty(&self) -> bool {
-        self.alive == 0
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> IncStats {
-        self.stats
-    }
-
-    /// Whether `id` is currently a core point.
-    pub fn is_core(&self, id: PointId) -> bool {
-        self.recs[id as usize].core
-    }
-
     /// Whether `id` is alive.
     pub fn is_alive(&self, id: PointId) -> bool {
         self.recs.get(id as usize).is_some_and(|r| r.alive)
-    }
-
-    /// Coordinates of a point (also valid for deleted ids).
-    pub fn coords(&self, id: PointId) -> Point<D> {
-        self.recs[id as usize].coords
-    }
-
-    /// Ids of all alive points.
-    pub fn alive_ids(&self) -> Vec<PointId> {
-        (0..self.recs.len() as u32)
-            .filter(|&i| self.recs[i as usize].alive)
-            .collect()
     }
 
     fn range(&mut self, q: &Point<D>, out: &mut Vec<(u32, f64)>) {
@@ -209,414 +154,6 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
         self.index.collect_within(q, self.params.eps, out);
         self.stats.range_queries += 1;
         self.stats.points_touched += out.len() as u64;
-    }
-
-    /// Inserts a point; returns its id. Panics on NaN/infinite
-    /// coordinates (see `DynamicClusterer::try_insert` for the fallible
-    /// boundary) — admitted, they would corrupt R-tree node splits.
-    pub fn insert(&mut self, p: Point<D>) -> PointId {
-        dydbscan_core::validate_point(&p, 0).unwrap_or_else(|e| panic!("{e}"));
-        let id = self.recs.len() as u32;
-        self.recs.push(Rec {
-            coords: p,
-            count: 0,
-            label: NO_LABEL,
-            alive: true,
-            core: false,
-        });
-        self.alive += 1;
-        self.index.insert(p, id);
-        // Seed objects: B(p, eps), p included (it is already indexed).
-        let mut seeds = std::mem::take(&mut self.scratch);
-        self.range(&p, &mut seeds);
-        let min_pts = self.params.min_pts as u32;
-        let mut new_cores: Vec<u32> = Vec::new();
-        self.recs[id as usize].count = seeds.len() as u32;
-        // Read-path dirt: the new point needs anchors; promotions below
-        // additionally dirty every point in the promoted ball (their
-        // anchor sets gain a core point).
-        self.snap.mark(id);
-        if seeds.len() as u32 >= min_pts {
-            new_cores.push(id);
-        }
-        for &(q, _) in &seeds {
-            if q == id {
-                continue;
-            }
-            let r = &mut self.recs[q as usize];
-            r.count += 1;
-            if !r.core && r.count >= min_pts {
-                new_cores.push(q);
-            }
-        }
-        // Flip flags first so simultaneous promotions see each other.
-        for &q in &new_cores {
-            self.recs[q as usize].core = true;
-        }
-        // Label maintenance per new core point (creation / absorption /
-        // merge).
-        let mut ball = Vec::new();
-        for &q in &new_cores {
-            if q == id {
-                ball.clear();
-                ball.extend_from_slice(&seeds);
-            } else {
-                let qp = self.recs[q as usize].coords;
-                let mut tmp = Vec::new();
-                self.range(&qp, &mut tmp);
-                ball.clear();
-                ball.extend_from_slice(&tmp);
-            }
-            for &(r, _) in &ball {
-                self.snap.mark(r);
-            }
-            let mut label = self.recs[q as usize].label;
-            for &(r, _) in &ball {
-                if r == q || !self.recs[r as usize].core {
-                    continue;
-                }
-                let rl = self.recs[r as usize].label;
-                if rl == NO_LABEL {
-                    continue; // freshly promoted, not yet labeled
-                }
-                if label == NO_LABEL {
-                    label = self.labels.find(rl);
-                } else if !self.labels.same(label, rl) {
-                    self.labels.union(label, rl);
-                    self.stats.label_merges += 1;
-                    label = self.labels.find(label);
-                }
-            }
-            if label == NO_LABEL {
-                label = self.labels.make_set();
-            }
-            self.recs[q as usize].label = label;
-        }
-        seeds.clear();
-        self.scratch = seeds;
-        id
-    }
-
-    /// Deletes a point by id. Panics on unknown / double deletes.
-    pub fn delete(&mut self, id: PointId) {
-        assert!(self.is_alive(id), "IncDBSCAN delete of dead id {id}");
-        let p = self.recs[id as usize].coords;
-        // Seed objects around the departing point (it is still indexed).
-        let mut seeds = std::mem::take(&mut self.scratch);
-        self.range(&p, &mut seeds);
-        self.index.remove(&p, id);
-        let was_core = self.recs[id as usize].core;
-        {
-            let r = &mut self.recs[id as usize];
-            r.alive = false;
-            r.core = false;
-            r.label = NO_LABEL;
-        }
-        self.alive -= 1;
-        // Read-path dirt: the departing point's ball loses it (and may
-        // lose a core anchor); demotions below dirty their balls too.
-        self.snap.mark_dead(id);
-        let min_pts = self.params.min_pts as u32;
-        // Decrement counts; collect demotions.
-        let mut demoted: Vec<u32> = Vec::new();
-        for &(q, _) in &seeds {
-            if q == id {
-                continue;
-            }
-            self.snap.mark(q);
-            let r = &mut self.recs[q as usize];
-            r.count -= 1;
-            if r.core && r.count < min_pts {
-                r.core = false;
-                r.label = NO_LABEL;
-                demoted.push(q);
-            }
-        }
-        // BFS seeds: still-core endpoints of the removed core-graph edges.
-        let mut bfs_seeds: Vec<u32> = Vec::new();
-        if was_core {
-            for &(q, _) in &seeds {
-                if q != id && self.recs[q as usize].core {
-                    bfs_seeds.push(q);
-                }
-            }
-        }
-        let mut tmp = Vec::new();
-        for &q in &demoted {
-            let qp = self.recs[q as usize].coords;
-            self.range(&qp, &mut tmp);
-            for &(r, _) in &tmp {
-                self.snap.mark(r);
-                if self.recs[r as usize].core {
-                    bfs_seeds.push(r);
-                }
-            }
-        }
-        dydbscan_geom::radix_sort_u32(&mut bfs_seeds);
-        bfs_seeds.dedup();
-        seeds.clear();
-        self.scratch = seeds;
-        if bfs_seeds.len() > 1 {
-            // Cheap pre-check from the original paper: if the seed objects
-            // are directly connected among themselves (pairwise core-graph
-            // edges within the seed set form one component), the cluster
-            // cannot have split and the BFS is skipped.
-            let groups = self.seed_components(&bfs_seeds);
-            if groups.len() > 1 {
-                self.split_check(&groups);
-            }
-        }
-    }
-
-    /// Inserts a batch in one index pass: every point is indexed first,
-    /// then each batch point issues exactly **one** range query against
-    /// the final set, which serves double duty as its seed set (own
-    /// count + neighbor count bumps) *and* as the ball of its label
-    /// round. Looped insertion instead re-queries a batch point's ball
-    /// whenever a later neighbor promotes it, and its early queries see
-    /// only a prefix of the batch. The final clustering is identical
-    /// (exact counts over the final set; the label merges commute).
-    pub fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        if pts.len() < 2 {
-            return pts.iter().map(|p| self.insert(*p)).collect();
-        }
-        dydbscan_core::validate_points(pts).unwrap_or_else(|e| panic!("{e}"));
-        self.pipeline.begin_flush(pts.len());
-        let batch_start = self.recs.len() as u32;
-        let min_pts = self.params.min_pts as u32;
-
-        // Phase 1: index the whole batch in one block — the R-tree
-        // bulk-loads it by sort-tile packing instead of paying one
-        // choose-leaf/split walk per point.
-        let mut block: Vec<(Point<D>, u32)> = Vec::with_capacity(pts.len());
-        let ids: Vec<u32> = pts
-            .iter()
-            .map(|p| {
-                let id = self.recs.len() as u32;
-                self.recs.push(Rec {
-                    coords: *p,
-                    count: 0,
-                    label: NO_LABEL,
-                    alive: true,
-                    core: false,
-                });
-                self.alive += 1;
-                self.snap.mark(id);
-                block.push((*p, id));
-                id
-            })
-            .collect();
-        self.index.insert_block(&block);
-
-        // Phase 2 (parallel): one range query per batch point against
-        // the final, now-stable index, retained for reuse. Queries only
-        // read the index; results come back in batch order.
-        let seeds: Vec<Vec<(u32, f64)>> = {
-            let (index, eps) = (&self.index, self.params.eps);
-            self.pipeline.run(FlushPhase::Scan, pts.len(), |k| {
-                let mut s = Vec::new();
-                index.collect_within(&pts[k], eps, &mut s);
-                s
-            })
-        };
-        self.stats.range_queries += seeds.len() as u64;
-        self.stats.points_touched += seeds.iter().map(|s| s.len() as u64).sum::<u64>();
-
-        // Phase 3: counts and promotions. Batch points read their count
-        // off their own (final-set) query; pre-existing points get one
-        // bump per batch ball containing them and promote exactly when
-        // they cross the threshold.
-        let mut new_cores: Vec<u32> = Vec::new();
-        for (k, s) in seeds.iter().enumerate() {
-            self.recs[ids[k] as usize].count = s.len() as u32;
-            if s.len() as u32 >= min_pts {
-                new_cores.push(ids[k]);
-            }
-        }
-        for s in &seeds {
-            for &(q, _) in s {
-                if q >= batch_start {
-                    continue; // batch counts already final
-                }
-                let r = &mut self.recs[q as usize];
-                r.count += 1;
-                if !r.core && r.count == min_pts {
-                    new_cores.push(q);
-                }
-            }
-        }
-
-        // Flip flags first so simultaneous promotions see each other.
-        for &q in &new_cores {
-            self.recs[q as usize].core = true;
-        }
-
-        // Phase 4: label maintenance per new core point (creation /
-        // absorption / merge), reusing the retained balls for batch
-        // points; only pre-existing promotions re-query.
-        let mut ball = Vec::new();
-        for &q in &new_cores {
-            if q < batch_start {
-                let qp = self.recs[q as usize].coords;
-                self.range(&qp, &mut ball);
-            }
-            let b: &[(u32, f64)] = if q >= batch_start {
-                &seeds[(q - batch_start) as usize]
-            } else {
-                &ball
-            };
-            // Read-path dirt: every point in a promoted ball gains a
-            // core anchor candidate.
-            for &(r, _) in b {
-                self.snap.mark(r);
-            }
-            let mut label = self.recs[q as usize].label;
-            for &(r, _) in b {
-                if r == q || !self.recs[r as usize].core {
-                    continue;
-                }
-                let rl = self.recs[r as usize].label;
-                if rl == NO_LABEL {
-                    continue; // promoted this flush, labeled by its own round
-                }
-                if label == NO_LABEL {
-                    label = self.labels.find(rl);
-                } else if !self.labels.same(label, rl) {
-                    self.labels.union(label, rl);
-                    self.stats.label_merges += 1;
-                    label = self.labels.find(label);
-                }
-            }
-            if label == NO_LABEL {
-                label = self.labels.make_set();
-            }
-            self.recs[q as usize].label = label;
-        }
-        ids
-    }
-
-    /// Deletes a batch in one index pass: every point leaves the index
-    /// first, then each deleted point issues exactly **one** range query
-    /// against the surviving set to decrement neighbor counts, and the
-    /// split adjudication — the BFS whose cost dominates IncDBSCAN
-    /// deletions — runs **once for the whole batch** instead of once per
-    /// deletion. The final clustering is identical to looped deletion
-    /// (counts are exact over the survivors; the combined BFS discovers
-    /// the same final core-graph components).
-    pub fn delete_batch(&mut self, del_ids: &[PointId]) {
-        if del_ids.len() < 2 {
-            for &id in del_ids {
-                self.delete(id);
-            }
-            return;
-        }
-        self.pipeline.begin_flush(del_ids.len());
-        let min_pts = self.params.min_pts as u32;
-
-        // Phase 1: pull the whole batch out of the index and the record
-        // table, keeping coordinates and core-ness for seed discovery.
-        let mut dead: Vec<(Point<D>, bool)> = Vec::with_capacity(del_ids.len());
-        for &id in del_ids {
-            assert!(self.is_alive(id), "IncDBSCAN delete of dead id {id}");
-            let p = self.recs[id as usize].coords;
-            let was_core = self.recs[id as usize].core;
-            self.index.remove(&p, id);
-            let r = &mut self.recs[id as usize];
-            r.alive = false;
-            r.core = false;
-            r.label = NO_LABEL;
-            self.alive -= 1;
-            self.snap.mark_dead(id);
-            dead.push((p, was_core));
-        }
-
-        // Phase 2: one range query per deleted point over the — now
-        // stable — surviving set, fanned out over the pool; each
-        // survivor's count then drops once per deleted ball containing
-        // it. Seeds are collected now and re-filtered afterwards (a seed
-        // can still be demoted by a later decrement).
-        let balls: Vec<Vec<(u32, f64)>> = {
-            let (index, eps) = (&self.index, self.params.eps);
-            self.pipeline.run(FlushPhase::Scan, dead.len(), |k| {
-                let mut s = Vec::new();
-                index.collect_within(&dead[k].0, eps, &mut s);
-                s
-            })
-        };
-        self.stats.range_queries += balls.len() as u64;
-        self.stats.points_touched += balls.iter().map(|b| b.len() as u64).sum::<u64>();
-        let mut demoted: Vec<u32> = Vec::new();
-        let mut bfs_seeds: Vec<u32> = Vec::new();
-        for (ball, &(_, was_core)) in balls.iter().zip(&dead) {
-            for &(q, _) in ball {
-                // Read-path dirt: a survivor near a departed (possibly
-                // core) point may lose an anchor.
-                self.snap.mark(q);
-                let r = &mut self.recs[q as usize];
-                r.count -= 1;
-                if r.core && r.count < min_pts {
-                    r.core = false;
-                    r.label = NO_LABEL;
-                    demoted.push(q);
-                }
-            }
-            if was_core {
-                bfs_seeds.extend(ball.iter().map(|&(q, _)| q));
-            }
-        }
-        let demoted_balls: Vec<Vec<(u32, f64)>> = {
-            let (index, eps, recs) = (&self.index, self.params.eps, &self.recs);
-            self.pipeline.run(FlushPhase::Scan, demoted.len(), |k| {
-                let mut s = Vec::new();
-                index.collect_within(&recs[demoted[k] as usize].coords, eps, &mut s);
-                s
-            })
-        };
-        self.stats.range_queries += demoted_balls.len() as u64;
-        self.stats.points_touched += demoted_balls.iter().map(|b| b.len() as u64).sum::<u64>();
-        for ball in &demoted_balls {
-            for &(r, _) in ball {
-                // Read-path dirt: a demotion removes an anchor from its
-                // whole ball.
-                self.snap.mark(r);
-                bfs_seeds.push(r);
-            }
-        }
-        bfs_seeds.retain(|&q| self.recs[q as usize].core);
-        dydbscan_geom::radix_sort_u32(&mut bfs_seeds);
-        bfs_seeds.dedup();
-
-        // Phase 3: one split adjudication per affected *cluster*. A
-        // split can only happen inside one former cluster, so seeds are
-        // scoped by their (resolved) label first — a batch touching
-        // several far-apart clusters must not compare their seeds
-        // against each other, or every intact cluster would read as a
-        // "split", be BFS-enumerated wholesale, and bump the splits
-        // counter that looped deletion leaves at zero.
-        //
-        // One stable radix pass by label does the scoping: labels come
-        // out ascending (the determinism the old hash-map + comparison
-        // re-sort bought), and seed ids stay ascending within each label
-        // because `bfs_seeds` is already sorted and the pass is stable —
-        // no per-group re-sort needed.
-        let mut by_label: Vec<(u32, u32)> = bfs_seeds
-            .iter()
-            .map(|&q| (self.labels.find(self.recs[q as usize].label), q))
-            .collect();
-        dydbscan_geom::radix_sort_by_key(&mut by_label, |&(l, _)| u64::from(l));
-        let mut i = 0;
-        while i < by_label.len() {
-            let label = by_label[i].0;
-            let j = i + by_label[i..].partition_point(|&(l, _)| l == label);
-            if j - i > 1 {
-                let seeds: Vec<u32> = by_label[i..j].iter().map(|&(_, q)| q).collect();
-                let groups = self.seed_components(&seeds);
-                if groups.len() > 1 {
-                    self.split_check(&groups);
-                }
-            }
-            i = j;
-        }
     }
 
     /// Partitions the seed set into components of the core graph induced
@@ -743,6 +280,489 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
         }
     }
 
+    /// The pre-snapshot query walk (label resolution through the
+    /// mutating union-find, border points by live range query): the
+    /// differential-testing oracle the snapshot path is checked against.
+    #[doc(hidden)]
+    pub fn direct_group_by(&mut self, q: &[PointId]) -> GroupBy {
+        let mut by_label: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
+        let mut noise = Vec::new();
+        let mut ball = Vec::new();
+        for &pid in q {
+            assert!(self.is_alive(pid), "query of dead id {pid}");
+            if self.recs[pid as usize].core {
+                let l = self.labels.find(self.recs[pid as usize].label);
+                by_label.entry(l).or_default().push(pid);
+            } else {
+                let p = self.recs[pid as usize].coords;
+                self.range(&p, &mut ball);
+                let mut ls: Vec<u32> = ball
+                    .iter()
+                    .filter(|&&(r, _)| self.recs[r as usize].core)
+                    .map(|&(r, _)| self.labels.find(self.recs[r as usize].label))
+                    .collect();
+                ls.sort_unstable();
+                ls.dedup();
+                if ls.is_empty() {
+                    noise.push(pid);
+                } else {
+                    for l in ls {
+                        by_label.entry(l).or_default().push(pid);
+                    }
+                }
+            }
+        }
+        let mut out = GroupBy {
+            groups: by_label.into_values().collect(),
+            noise,
+        };
+        out.normalize();
+        out
+    }
+
+    /// `Q = P` through [`direct_group_by`](Self::direct_group_by).
+    #[doc(hidden)]
+    pub fn direct_group_all(&mut self) -> Clustering {
+        let ids = self.alive_ids();
+        self.direct_group_by(&ids)
+    }
+}
+
+impl<const D: usize, I: RangeIndex<D>> DynamicClusterer<D> for IncDbscan<D, I> {
+    fn params(&self) -> &Params {
+        &self.params
+    }
+
+    fn len(&self) -> usize {
+        self.alive
+    }
+
+    fn supports_deletion(&self) -> bool {
+        true
+    }
+
+    /// Rejects NaN/infinite rows up front: admitted, they would corrupt
+    /// R-tree node splits.
+    fn insert(&mut self, p: Point<D>) -> PointId {
+        dydbscan_core::validate_point(&p, 0, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        let id = self.recs.len() as u32;
+        self.recs.push(Rec {
+            coords: p,
+            count: 0,
+            label: NO_LABEL,
+            alive: true,
+            core: false,
+        });
+        self.alive += 1;
+        self.index.insert(p, id);
+        // Seed objects: B(p, eps), p included (it is already indexed).
+        let mut seeds = std::mem::take(&mut self.scratch);
+        self.range(&p, &mut seeds);
+        let min_pts = self.params.min_pts as u32;
+        let mut new_cores: Vec<u32> = Vec::new();
+        self.recs[id as usize].count = seeds.len() as u32;
+        // Read-path dirt: the new point needs anchors; promotions below
+        // additionally dirty every point in the promoted ball (their
+        // anchor sets gain a core point).
+        self.snap.mark(id);
+        if seeds.len() as u32 >= min_pts {
+            new_cores.push(id);
+        }
+        for &(q, _) in &seeds {
+            if q == id {
+                continue;
+            }
+            let r = &mut self.recs[q as usize];
+            r.count += 1;
+            if !r.core && r.count >= min_pts {
+                new_cores.push(q);
+            }
+        }
+        // Flip flags first so simultaneous promotions see each other.
+        for &q in &new_cores {
+            self.recs[q as usize].core = true;
+        }
+        // Label maintenance per new core point (creation / absorption /
+        // merge).
+        let mut ball = Vec::new();
+        for &q in &new_cores {
+            if q == id {
+                ball.clear();
+                ball.extend_from_slice(&seeds);
+            } else {
+                let qp = self.recs[q as usize].coords;
+                let mut tmp = Vec::new();
+                self.range(&qp, &mut tmp);
+                ball.clear();
+                ball.extend_from_slice(&tmp);
+            }
+            for &(r, _) in &ball {
+                self.snap.mark(r);
+            }
+            let mut label = self.recs[q as usize].label;
+            for &(r, _) in &ball {
+                if r == q || !self.recs[r as usize].core {
+                    continue;
+                }
+                let rl = self.recs[r as usize].label;
+                if rl == NO_LABEL {
+                    continue; // freshly promoted, not yet labeled
+                }
+                if label == NO_LABEL {
+                    label = self.labels.find(rl);
+                } else if !self.labels.same(label, rl) {
+                    self.labels.union(label, rl);
+                    self.stats.label_merges += 1;
+                    label = self.labels.find(label);
+                }
+            }
+            if label == NO_LABEL {
+                label = self.labels.make_set();
+            }
+            self.recs[q as usize].label = label;
+        }
+        seeds.clear();
+        self.scratch = seeds;
+        id
+    }
+
+    /// Deletes a point by id. Panics on unknown / double deletes.
+    fn delete(&mut self, id: PointId) {
+        assert!(self.is_alive(id), "IncDBSCAN delete of dead id {id}");
+        let p = self.recs[id as usize].coords;
+        // Seed objects around the departing point (it is still indexed).
+        let mut seeds = std::mem::take(&mut self.scratch);
+        self.range(&p, &mut seeds);
+        self.index.remove(&p, id);
+        let was_core = self.recs[id as usize].core;
+        {
+            let r = &mut self.recs[id as usize];
+            r.alive = false;
+            r.core = false;
+            r.label = NO_LABEL;
+        }
+        self.alive -= 1;
+        // Read-path dirt: the departing point's ball loses it (and may
+        // lose a core anchor); demotions below dirty their balls too.
+        self.snap.mark_dead(id);
+        let min_pts = self.params.min_pts as u32;
+        // Decrement counts; collect demotions.
+        let mut demoted: Vec<u32> = Vec::new();
+        for &(q, _) in &seeds {
+            if q == id {
+                continue;
+            }
+            self.snap.mark(q);
+            let r = &mut self.recs[q as usize];
+            r.count -= 1;
+            if r.core && r.count < min_pts {
+                r.core = false;
+                r.label = NO_LABEL;
+                demoted.push(q);
+            }
+        }
+        // BFS seeds: still-core endpoints of the removed core-graph edges.
+        let mut bfs_seeds: Vec<u32> = Vec::new();
+        if was_core {
+            for &(q, _) in &seeds {
+                if q != id && self.recs[q as usize].core {
+                    bfs_seeds.push(q);
+                }
+            }
+        }
+        let mut tmp = Vec::new();
+        for &q in &demoted {
+            let qp = self.recs[q as usize].coords;
+            self.range(&qp, &mut tmp);
+            for &(r, _) in &tmp {
+                self.snap.mark(r);
+                if self.recs[r as usize].core {
+                    bfs_seeds.push(r);
+                }
+            }
+        }
+        dydbscan_geom::radix_sort_u32(&mut bfs_seeds);
+        bfs_seeds.dedup();
+        seeds.clear();
+        self.scratch = seeds;
+        if bfs_seeds.len() > 1 {
+            // Cheap pre-check from the original paper: if the seed objects
+            // are directly connected among themselves (pairwise core-graph
+            // edges within the seed set form one component), the cluster
+            // cannot have split and the BFS is skipped.
+            let groups = self.seed_components(&bfs_seeds);
+            if groups.len() > 1 {
+                self.split_check(&groups);
+            }
+        }
+    }
+
+    /// Inserts a batch in one index pass: every point is indexed first,
+    /// then each batch point issues exactly **one** range query against
+    /// the final set, which serves double duty as its seed set (own
+    /// count + neighbor count bumps) *and* as the ball of its label
+    /// round. Looped insertion instead re-queries a batch point's ball
+    /// whenever a later neighbor promotes it, and its early queries see
+    /// only a prefix of the batch. The final clustering is identical
+    /// (exact counts over the final set; the label merges commute).
+    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
+        if pts.len() < 2 {
+            return pts.iter().map(|p| self.insert(*p)).collect();
+        }
+        dydbscan_core::validate_points(pts, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        self.pipeline.begin_flush(pts.len());
+        let batch_start = self.recs.len() as u32;
+        let min_pts = self.params.min_pts as u32;
+
+        // Phase 1: index the whole batch in one block — the R-tree
+        // bulk-loads it by sort-tile packing instead of paying one
+        // choose-leaf/split walk per point.
+        let mut block: Vec<(Point<D>, u32)> = Vec::with_capacity(pts.len());
+        let ids: Vec<u32> = pts
+            .iter()
+            .map(|p| {
+                let id = self.recs.len() as u32;
+                self.recs.push(Rec {
+                    coords: *p,
+                    count: 0,
+                    label: NO_LABEL,
+                    alive: true,
+                    core: false,
+                });
+                self.alive += 1;
+                self.snap.mark(id);
+                block.push((*p, id));
+                id
+            })
+            .collect();
+        self.index.insert_block(&block);
+
+        // Phase 2 (parallel): one range query per batch point against
+        // the final, now-stable index, retained for reuse. Queries only
+        // read the index; results come back in batch order.
+        let seeds: Vec<Vec<(u32, f64)>> = {
+            let (index, eps) = (&self.index, self.params.eps);
+            self.pipeline.run(FlushPhase::Scan, pts.len(), |k| {
+                let mut s = Vec::new();
+                index.collect_within(&pts[k], eps, &mut s);
+                s
+            })
+        };
+        self.stats.range_queries += seeds.len() as u64;
+        self.stats.points_touched += seeds.iter().map(|s| s.len() as u64).sum::<u64>();
+
+        // Phase 3: counts and promotions. Batch points read their count
+        // off their own (final-set) query; pre-existing points get one
+        // bump per batch ball containing them and promote exactly when
+        // they cross the threshold.
+        let mut new_cores: Vec<u32> = Vec::new();
+        for (k, s) in seeds.iter().enumerate() {
+            self.recs[ids[k] as usize].count = s.len() as u32;
+            if s.len() as u32 >= min_pts {
+                new_cores.push(ids[k]);
+            }
+        }
+        for s in &seeds {
+            for &(q, _) in s {
+                if q >= batch_start {
+                    continue; // batch counts already final
+                }
+                let r = &mut self.recs[q as usize];
+                r.count += 1;
+                if !r.core && r.count == min_pts {
+                    new_cores.push(q);
+                }
+            }
+        }
+
+        // Flip flags first so simultaneous promotions see each other.
+        for &q in &new_cores {
+            self.recs[q as usize].core = true;
+        }
+
+        // Phase 4: label maintenance per new core point (creation /
+        // absorption / merge), reusing the retained balls for batch
+        // points; only pre-existing promotions re-query.
+        let mut ball = Vec::new();
+        for &q in &new_cores {
+            if q < batch_start {
+                let qp = self.recs[q as usize].coords;
+                self.range(&qp, &mut ball);
+            }
+            let b: &[(u32, f64)] = if q >= batch_start {
+                &seeds[(q - batch_start) as usize]
+            } else {
+                &ball
+            };
+            // Read-path dirt: every point in a promoted ball gains a
+            // core anchor candidate.
+            for &(r, _) in b {
+                self.snap.mark(r);
+            }
+            let mut label = self.recs[q as usize].label;
+            for &(r, _) in b {
+                if r == q || !self.recs[r as usize].core {
+                    continue;
+                }
+                let rl = self.recs[r as usize].label;
+                if rl == NO_LABEL {
+                    continue; // promoted this flush, labeled by its own round
+                }
+                if label == NO_LABEL {
+                    label = self.labels.find(rl);
+                } else if !self.labels.same(label, rl) {
+                    self.labels.union(label, rl);
+                    self.stats.label_merges += 1;
+                    label = self.labels.find(label);
+                }
+            }
+            if label == NO_LABEL {
+                label = self.labels.make_set();
+            }
+            self.recs[q as usize].label = label;
+        }
+        ids
+    }
+
+    /// Deletes a batch in one index pass: every point leaves the index
+    /// first, then each deleted point issues exactly **one** range query
+    /// against the surviving set to decrement neighbor counts, and the
+    /// split adjudication — the BFS whose cost dominates IncDBSCAN
+    /// deletions — runs **once for the whole batch** instead of once per
+    /// deletion. The final clustering is identical to looped deletion
+    /// (counts are exact over the survivors; the combined BFS discovers
+    /// the same final core-graph components).
+    fn delete_batch(&mut self, del_ids: &[PointId]) {
+        if del_ids.len() < 2 {
+            for &id in del_ids {
+                self.delete(id);
+            }
+            return;
+        }
+        self.pipeline.begin_flush(del_ids.len());
+        let min_pts = self.params.min_pts as u32;
+
+        // Phase 1: pull the whole batch out of the index and the record
+        // table, keeping coordinates and core-ness for seed discovery.
+        let mut dead: Vec<(Point<D>, bool)> = Vec::with_capacity(del_ids.len());
+        for &id in del_ids {
+            assert!(self.is_alive(id), "IncDBSCAN delete of dead id {id}");
+            let p = self.recs[id as usize].coords;
+            let was_core = self.recs[id as usize].core;
+            self.index.remove(&p, id);
+            let r = &mut self.recs[id as usize];
+            r.alive = false;
+            r.core = false;
+            r.label = NO_LABEL;
+            self.alive -= 1;
+            self.snap.mark_dead(id);
+            dead.push((p, was_core));
+        }
+
+        // Phase 2: one range query per deleted point over the — now
+        // stable — surviving set, fanned out over the pool; each
+        // survivor's count then drops once per deleted ball containing
+        // it. Seeds are collected now and re-filtered afterwards (a seed
+        // can still be demoted by a later decrement).
+        let balls: Vec<Vec<(u32, f64)>> = {
+            let (index, eps) = (&self.index, self.params.eps);
+            self.pipeline.run(FlushPhase::Scan, dead.len(), |k| {
+                let mut s = Vec::new();
+                index.collect_within(&dead[k].0, eps, &mut s);
+                s
+            })
+        };
+        self.stats.range_queries += balls.len() as u64;
+        self.stats.points_touched += balls.iter().map(|b| b.len() as u64).sum::<u64>();
+        let mut demoted: Vec<u32> = Vec::new();
+        let mut bfs_seeds: Vec<u32> = Vec::new();
+        for (ball, &(_, was_core)) in balls.iter().zip(&dead) {
+            for &(q, _) in ball {
+                // Read-path dirt: a survivor near a departed (possibly
+                // core) point may lose an anchor.
+                self.snap.mark(q);
+                let r = &mut self.recs[q as usize];
+                r.count -= 1;
+                if r.core && r.count < min_pts {
+                    r.core = false;
+                    r.label = NO_LABEL;
+                    demoted.push(q);
+                }
+            }
+            if was_core {
+                bfs_seeds.extend(ball.iter().map(|&(q, _)| q));
+            }
+        }
+        let demoted_balls: Vec<Vec<(u32, f64)>> = {
+            let (index, eps, recs) = (&self.index, self.params.eps, &self.recs);
+            self.pipeline.run(FlushPhase::Scan, demoted.len(), |k| {
+                let mut s = Vec::new();
+                index.collect_within(&recs[demoted[k] as usize].coords, eps, &mut s);
+                s
+            })
+        };
+        self.stats.range_queries += demoted_balls.len() as u64;
+        self.stats.points_touched += demoted_balls.iter().map(|b| b.len() as u64).sum::<u64>();
+        for ball in &demoted_balls {
+            for &(r, _) in ball {
+                // Read-path dirt: a demotion removes an anchor from its
+                // whole ball.
+                self.snap.mark(r);
+                bfs_seeds.push(r);
+            }
+        }
+        bfs_seeds.retain(|&q| self.recs[q as usize].core);
+        dydbscan_geom::radix_sort_u32(&mut bfs_seeds);
+        bfs_seeds.dedup();
+
+        // Phase 3: one split adjudication per affected *cluster*. A
+        // split can only happen inside one former cluster, so seeds are
+        // scoped by their (resolved) label first — a batch touching
+        // several far-apart clusters must not compare their seeds
+        // against each other, or every intact cluster would read as a
+        // "split", be BFS-enumerated wholesale, and bump the splits
+        // counter that looped deletion leaves at zero.
+        //
+        // One stable radix pass by label does the scoping: labels come
+        // out ascending (the determinism the old hash-map + comparison
+        // re-sort bought), and seed ids stay ascending within each label
+        // because `bfs_seeds` is already sorted and the pass is stable —
+        // no per-group re-sort needed.
+        let mut by_label: Vec<(u32, u32)> = bfs_seeds
+            .iter()
+            .map(|&q| (self.labels.find(self.recs[q as usize].label), q))
+            .collect();
+        dydbscan_geom::radix_sort_by_key(&mut by_label, |&(l, _)| u64::from(l));
+        let mut i = 0;
+        while i < by_label.len() {
+            let label = by_label[i].0;
+            let j = i + by_label[i..].partition_point(|&(l, _)| l == label);
+            if j - i > 1 {
+                let seeds: Vec<u32> = by_label[i..j].iter().map(|&(_, q)| q).collect();
+                let groups = self.seed_components(&seeds);
+                if groups.len() > 1 {
+                    self.split_check(&groups);
+                }
+            }
+            i = j;
+        }
+    }
+
+    fn is_core(&self, id: PointId) -> bool {
+        self.recs[id as usize].core
+    }
+
+    /// Coordinates of a point (also valid for deleted ids).
+    fn coords(&self, id: PointId) -> Point<D> {
+        self.recs[id as usize].coords
+    }
+
+    fn alive_ids(&self) -> Vec<PointId> {
+        (0..self.recs.len() as u32)
+            .filter(|&i| self.recs[i as usize].alive)
+            .collect()
+    }
+
     /// Refreshes (if dirty) and returns the current epoch snapshot: core
     /// points' labels are resolved through the merge-history union-find
     /// without path compression, and only points near the updates since
@@ -750,7 +770,7 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
     /// re-queried — fanned over the persistent worker pool when enough
     /// points are dirty. Under delta tracking, a relabeled core point
     /// and its `eps`-ball are the points that may anchor to it.
-    fn refresh(&self) -> Arc<ClusterSnapshot> {
+    fn snapshot(&self) -> Arc<ClusterSnapshot> {
         let eps = self.params.eps;
         // Field borrows (not `&self`) so the closure's captures are the
         // plain-data structures the workers actually read.
@@ -807,119 +827,6 @@ impl<const D: usize, I: RangeIndex<D>> IncDbscan<D, I> {
         )
     }
 
-    /// The current epoch snapshot — `Arc`-share it with reader threads
-    /// and keep applying updates; their answers stay frozen at this
-    /// epoch.
-    pub fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        self.refresh()
-    }
-
-    /// Answers a C-group-by query (grouping by resolved cluster labels;
-    /// border points honor DBSCAN's multi-membership semantics). Panics
-    /// on dead ids; see [`try_group_by`](Self::try_group_by).
-    pub fn group_by(&self, q: &[PointId]) -> GroupBy {
-        self.refresh().group_by(q)
-    }
-
-    /// Fallible [`group_by`](Self::group_by): dead/unknown ids return
-    /// [`QueryError::DeadPoint`] naming the id instead of panicking.
-    pub fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        self.refresh().try_group_by(q)
-    }
-
-    /// The full clustering (`Q = P`), fanned across the persistent
-    /// worker pool in id-range chunks — bit-identical to the sequential
-    /// scan at every thread count.
-    pub fn group_all(&self) -> Clustering {
-        let snap = self.refresh();
-        dydbscan_core::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
-    }
-
-    /// The pre-snapshot query walk (label resolution through the
-    /// mutating union-find, border points by live range query): the
-    /// differential-testing oracle the snapshot path is checked against.
-    #[doc(hidden)]
-    pub fn direct_group_by(&mut self, q: &[PointId]) -> GroupBy {
-        let mut by_label: FxHashMap<u32, Vec<PointId>> = FxHashMap::default();
-        let mut noise = Vec::new();
-        let mut ball = Vec::new();
-        for &pid in q {
-            assert!(self.is_alive(pid), "query of dead id {pid}");
-            if self.recs[pid as usize].core {
-                let l = self.labels.find(self.recs[pid as usize].label);
-                by_label.entry(l).or_default().push(pid);
-            } else {
-                let p = self.recs[pid as usize].coords;
-                self.range(&p, &mut ball);
-                let mut ls: Vec<u32> = ball
-                    .iter()
-                    .filter(|&&(r, _)| self.recs[r as usize].core)
-                    .map(|&(r, _)| self.labels.find(self.recs[r as usize].label))
-                    .collect();
-                ls.sort_unstable();
-                ls.dedup();
-                if ls.is_empty() {
-                    noise.push(pid);
-                } else {
-                    for l in ls {
-                        by_label.entry(l).or_default().push(pid);
-                    }
-                }
-            }
-        }
-        let mut out = GroupBy {
-            groups: by_label.into_values().collect(),
-            noise,
-        };
-        out.normalize();
-        out
-    }
-
-    /// `Q = P` through [`direct_group_by`](Self::direct_group_by).
-    #[doc(hidden)]
-    pub fn direct_group_all(&mut self) -> Clustering {
-        let ids = self.alive_ids();
-        self.direct_group_by(&ids)
-    }
-}
-
-impl<const D: usize, I: RangeIndex<D>> DynamicClusterer<D> for IncDbscan<D, I> {
-    fn params(&self) -> &Params {
-        IncDbscan::params(self)
-    }
-
-    fn len(&self) -> usize {
-        IncDbscan::len(self)
-    }
-
-    fn supports_deletion(&self) -> bool {
-        true
-    }
-
-    fn insert(&mut self, p: Point<D>) -> PointId {
-        IncDbscan::insert(self, p)
-    }
-
-    fn delete(&mut self, id: PointId) {
-        IncDbscan::delete(self, id)
-    }
-
-    fn is_core(&self, id: PointId) -> bool {
-        IncDbscan::is_core(self, id)
-    }
-
-    fn coords(&self, id: PointId) -> Point<D> {
-        IncDbscan::coords(self, id)
-    }
-
-    fn alive_ids(&self) -> Vec<PointId> {
-        IncDbscan::alive_ids(self)
-    }
-
-    fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        IncDbscan::snapshot(self)
-    }
-
     fn epoch_handle(&self) -> EpochHandle {
         self.snap.epoch_handle()
     }
@@ -928,44 +835,23 @@ impl<const D: usize, I: RangeIndex<D>> DynamicClusterer<D> for IncDbscan<D, I> {
         self.snap.set_track_deltas(on);
     }
 
-    fn group_by(&self, q: &[PointId]) -> GroupBy {
-        IncDbscan::group_by(self, q)
-    }
-
-    fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        IncDbscan::try_group_by(self, q)
-    }
-
     fn group_all(&self) -> Clustering {
-        IncDbscan::group_all(self)
+        let snap = self.snapshot();
+        dydbscan_core::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
     }
 
-    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        IncDbscan::insert_batch(self, pts)
-    }
-
-    fn delete_batch(&mut self, ids: &[PointId]) {
-        IncDbscan::delete_batch(self, ids)
-    }
-
-    /// IncDBSCAN keeps a merge history, not an explicit edge set: only
-    /// `range_queries`, `splits` and the shared flush counters are
-    /// tracked; the graph-churn counters stay `0`, and so does
-    /// `batch_cell_scans` — the grouped overrides save *queries* (one
-    /// index pass per batch, one split adjudication per flush), not
-    /// cell materializations, which the baseline does not have. The
-    /// parallel counters report the pooled per-point range-query
-    /// phases. Full provenance lives in [`IncStats`] on the concrete
-    /// type.
+    /// IncDBSCAN keeps a merge history, not an explicit edge set: it
+    /// tracks `range_queries`, `points_touched`, `bfs_expansions`,
+    /// `splits`, `label_merges` and the shared flush counters; the
+    /// graph-churn counters stay `0`, and so does `batch_cell_scans` —
+    /// the grouped overrides save *queries* (one index pass per batch,
+    /// one split adjudication per flush), not cell materializations,
+    /// which the baseline does not have. The parallel counters report
+    /// the pooled per-point range-query phases.
     fn stats(&self) -> ClustererStats {
-        let s = self.stats;
-        ClustererStats {
-            range_queries: s.range_queries,
-            splits: s.splits,
-            ..ClustererStats::default()
-        }
-        .with_flush(self.pipeline.stats())
-        .with_snapshot(&self.snap)
+        self.stats
+            .with_flush(self.pipeline.stats())
+            .with_snapshot(&self.snap)
     }
 }
 
@@ -1096,7 +982,7 @@ mod tests {
             let want = relabel(&brute_force_exact(&pts, &params), &alive);
             assert_eq!(got, want, "round {round} vs brute force");
         }
-        assert!(batched.flush_stats().batch_flushes > 0);
+        assert!(batched.stats().batch_flushes > 0);
         assert!(
             batched.stats().range_queries < looped.stats().range_queries,
             "the grouped pipeline must save index passes ({} vs {})",

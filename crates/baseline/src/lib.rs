@@ -10,5 +10,5 @@
 pub mod incdbscan;
 pub mod index;
 
-pub use incdbscan::{IncDbscan, IncStats};
+pub use incdbscan::IncDbscan;
 pub use index::{GridRangeIndex, RangeIndex};

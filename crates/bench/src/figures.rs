@@ -12,7 +12,8 @@ use crate::report::{
 use dydbscan::geom::Point;
 use dydbscan::workload::PaperGrid;
 use dydbscan::{
-    brute_force_exact, check_sandwich, relabel, FullDynDbscan, Op, Params, PointId, WorkloadSpec,
+    brute_force_exact, check_sandwich, relabel, DynamicClusterer, FullDynDbscan, Op, Params,
+    PointId, WorkloadSpec,
 };
 use std::time::Duration;
 
@@ -698,7 +699,7 @@ pub fn kernel(cfg: &ReproConfig) -> Vec<SeriesRecord> {
 pub fn shard(cfg: &ReproConfig, threads: usize) -> Vec<SeriesRecord> {
     use crate::metrics::MetricsBuilder;
     use dydbscan::geom::SplitMix64;
-    use dydbscan::{DynamicClusterer, FullDynDbscan, SemiDynDbscan, ShardedDbscan};
+    use dydbscan::{SemiDynDbscan, ShardedDbscan};
     use std::time::Instant;
 
     const BATCH: usize = 1024;

@@ -21,12 +21,14 @@ use crate::snapshot::{ClusterSnapshot, EpochHandle, QueryError, SnapshotState};
 use dydbscan_geom::Point;
 use std::sync::Arc;
 
-/// Operation counters common to every clusterer, for cost provenance.
+/// Operation counters of every clusterer, for cost provenance — the one
+/// stats type each engine reports.
 ///
 /// Not every algorithm tracks every counter; untracked fields stay `0`
-/// (each implementation documents its mapping). Algorithm-specific
-/// counters remain available on the concrete types (`FullStats`,
-/// `IncStats`, `SemiStats`).
+/// (each implementation documents its mapping). The algorithm-specific
+/// extension fields are `emptiness_probes` (semi-dynamic GUM),
+/// `instances_created`/`instances_destroyed` (fully-dynamic aBCP) and
+/// `points_touched`/`bfs_expansions`/`label_merges` (IncDBSCAN).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ClustererStats {
     /// Range-count / range-report queries issued against spatial
@@ -44,6 +46,19 @@ pub struct ClustererStats {
     pub edge_removes: u64,
     /// Cluster splits adjudicated on deletion (IncDBSCAN's BFS relabels).
     pub splits: u64,
+    /// Semi-dynamic GUM emptiness probes (also in `range_queries`).
+    pub emptiness_probes: u64,
+    /// Fully-dynamic aBCP instances created (one per pair of
+    /// `eps`-close core cells).
+    pub instances_created: u64,
+    /// Fully-dynamic aBCP instances destroyed.
+    pub instances_destroyed: u64,
+    /// Points returned by IncDBSCAN's range queries.
+    pub points_touched: u64,
+    /// IncDBSCAN BFS expansion steps across all deletions.
+    pub bfs_expansions: u64,
+    /// IncDBSCAN label merges (insertion-side cluster merges).
+    pub label_merges: u64,
     /// Updates that went through a grouped batch pipeline
     /// (`insert_batch`/`delete_batch` on engines that override them).
     pub batched_updates: u64,
@@ -75,6 +90,10 @@ pub struct ClustererStats {
     /// the pool (only counted when the phase engaged more than one
     /// worker).
     pub gum_parallel_rounds: u64,
+    /// Whole-shard flush tasks a sharded front-end dispatched through
+    /// pool runs that engaged more than one worker (`0` at `threads(1)`
+    /// and on unsharded engines).
+    pub shard_parallel_flushes: u64,
     /// Snapshot refreshes performed — epochs the read path advanced
     /// through. Refreshes are dirty-driven: back-to-back queries with no
     /// updates in between share one epoch.
@@ -109,6 +128,7 @@ impl ClustererStats {
         self.pool_reuse_count = f.pool_reuse_count;
         self.phase1_parallel_tasks = f.phase1_parallel_tasks;
         self.gum_parallel_rounds = f.gum_parallel_rounds;
+        self.shard_parallel_flushes = f.shard_parallel_flushes;
         self
     }
 
@@ -178,15 +198,18 @@ pub trait DynamicClusterer<const D: usize> {
     ///
     /// On rows with NaN or infinite coordinates — they have no grid cell
     /// and no usable ordering, so admitting them would silently corrupt
-    /// the spatial structures. Front-ends ingesting untrusted data use
-    /// [`try_insert`](Self::try_insert) instead.
+    /// the spatial structures — and on finite coordinates too large for
+    /// a grid cell (see [`ParamError::Unrepresentable`]). Front-ends
+    /// ingesting untrusted data use [`try_insert`](Self::try_insert)
+    /// instead.
     fn insert(&mut self, p: Point<D>) -> PointId;
 
     /// Fallible [`insert`](Self::insert): rejects rows with NaN/±∞
-    /// coordinates with [`ParamError::InvalidPoint`] (`id = 0`) instead
-    /// of panicking. This is the ingestion boundary for untrusted data.
+    /// coordinates ([`ParamError::InvalidPoint`], `id = 0`) or
+    /// unrepresentable ones ([`ParamError::Unrepresentable`]) instead of
+    /// panicking. This is the ingestion boundary for untrusted data.
     fn try_insert(&mut self, p: Point<D>) -> Result<PointId, ParamError> {
-        validate_point(&p, 0)?;
+        validate_point(&p, 0, self.params())?;
         Ok(self.insert(p))
     }
 
@@ -276,11 +299,12 @@ pub trait DynamicClusterer<const D: usize> {
     }
 
     /// Fallible [`insert_batch`](Self::insert_batch): the whole batch is
-    /// validated up front, and the first row carrying a NaN/±∞
-    /// coordinate rejects the call with [`ParamError::InvalidPoint`]
+    /// validated up front, and the first row carrying a NaN/±∞ or
+    /// unrepresentable coordinate rejects the call with
+    /// [`ParamError::InvalidPoint`] / [`ParamError::Unrepresentable`]
     /// naming the row and axis — nothing is inserted on error.
     fn try_insert_batch(&mut self, pts: &[Point<D>]) -> Result<Vec<PointId>, ParamError> {
-        validate_points(pts)?;
+        validate_points(pts, self.params())?;
         Ok(self.insert_batch(pts))
     }
 

@@ -29,33 +29,12 @@ use crate::groups::{Clustering, GroupBy};
 use crate::params::Params;
 use crate::points::{PointArena, PointId};
 use crate::query::c_group_by;
-use crate::snapshot::{Anchors, ClusterSnapshot, EpochHandle, QueryError, SnapshotState};
+use crate::shard::{ShardEngine, ShardTaps};
+use crate::snapshot::{Anchors, ClusterSnapshot, EpochHandle, SnapshotState};
 use dydbscan_conn::{DynConnectivity, HdtConnectivity};
 use dydbscan_geom::{dist_sq, FxHashMap, FxHashSet, Point};
 use dydbscan_grid::{CellId, GridIndex, NeighborScope};
 use std::sync::Arc;
-
-/// Operation counters for provenance analysis in the benchmarks. The
-/// shared batch/parallelism counters live in the engine's
-/// [`FlushPipeline`](crate::batch::FlushPipeline) — see
-/// [`FullDynDbscan::flush_stats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FullStats {
-    /// Approximate range-count queries issued.
-    pub count_queries: u64,
-    /// Points promoted to core.
-    pub promotions: u64,
-    /// Points demoted from core.
-    pub demotions: u64,
-    /// Grid-graph edge insertions forwarded to the CC structure.
-    pub edge_inserts: u64,
-    /// Grid-graph edge removals forwarded to the CC structure.
-    pub edge_removes: u64,
-    /// aBCP instances created.
-    pub instances_created: u64,
-    /// aBCP instances destroyed.
-    pub instances_destroyed: u64,
-}
 
 /// Fully-dynamic ρ-double-approximate DBSCAN (exact when `rho = 0`).
 ///
@@ -64,7 +43,7 @@ pub struct FullStats {
 /// # Example
 ///
 /// ```
-/// use dydbscan_core::{FullDynDbscan, Params};
+/// use dydbscan_core::{DynamicClusterer, FullDynDbscan, Params};
 ///
 /// let mut c = FullDynDbscan::<2>::new(Params::new(1.0, 3).with_rho(0.001));
 /// let a = c.insert([0.0, 0.0]);
@@ -100,7 +79,9 @@ pub struct FullDynDbscan<const D: usize, C: DynConnectivity = HdtConnectivity> {
     /// mark the cells they touch dirty; queries refresh amortized over
     /// those cells only.
     snap: SnapshotState,
-    stats: FullStats,
+    /// Operation counters (`range_queries` = approximate range counts);
+    /// the flush and snapshot counters are filled in by `stats()`.
+    stats: ClustererStats,
 }
 
 impl<const D: usize> FullDynDbscan<D, HdtConnectivity> {
@@ -126,7 +107,7 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
             edge_log: None,
             pipeline: crate::batch::FlushPipeline::new(),
             snap: SnapshotState::new(),
-            stats: FullStats::default(),
+            stats: ClustererStats::default(),
         }
     }
 
@@ -145,39 +126,6 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
         self.pipeline.threads()
     }
 
-    // ---- shard-wrapper hooks (crate-private) ---------------------------
-    // `ShardedDbscan` drives shard engines through these: grid/arena
-    // reads for the composed snapshot export, the snapshot mark log, and
-    // the grid-graph edge log. The engine itself stays shard-oblivious.
-
-    pub(crate) fn shard_grid(&self) -> &GridIndex<D> {
-        &self.grid
-    }
-
-    pub(crate) fn shard_points(&self) -> &PointArena {
-        &self.points
-    }
-
-    pub(crate) fn shard_snap_mut(&mut self) -> &mut SnapshotState {
-        &mut self.snap
-    }
-
-    pub(crate) fn set_edge_log(&mut self, on: bool) {
-        self.edge_log = on.then(Vec::new);
-    }
-
-    pub(crate) fn take_edge_log(&mut self) -> Vec<(CellId, CellId, bool)> {
-        match self.edge_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// The shared flush-pipeline counters (batching + parallelism).
-    pub fn flush_stats(&self) -> crate::batch::FlushStats {
-        self.pipeline.stats()
-    }
-
     /// Whether the persistent flush crew is currently spawned (it is
     /// lazily spawned by the first flush phase that goes parallel and
     /// parked between flushes).
@@ -185,51 +133,9 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
         self.pipeline.pool_spawned()
     }
 
-    /// The clustering parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// Number of alive points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no points are alive.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> FullStats {
-        self.stats
-    }
-
     /// Whether `id` is alive.
     pub fn is_alive(&self, id: PointId) -> bool {
         self.points.is_alive(id)
-    }
-
-    /// Whether `id` is currently a core point.
-    pub fn is_core(&self, id: PointId) -> bool {
-        self.points.is_core(id)
-    }
-
-    /// Coordinates of an alive point, read from its cell's SoA block.
-    /// Panics on deleted ids (the grid no longer stores their
-    /// coordinates).
-    pub fn coords(&self, id: PointId) -> Point<D> {
-        assert!(
-            self.points.is_alive(id),
-            "coords of deleted or unknown point id {id}"
-        );
-        let r = self.points.get(id);
-        *self.grid.cell(r.cell).all.point(r.slot)
-    }
-
-    /// Ids of all alive points.
-    pub fn alive_ids(&self) -> Vec<PointId> {
-        self.points.iter_alive().map(|(i, _)| i).collect()
     }
 
     /// Number of live aBCP instances (= candidate grid-graph edges).
@@ -266,212 +172,6 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
     // ------------------------------------------------------------------
     // Updates
     // ------------------------------------------------------------------
-
-    /// Inserts a point; returns its id. Amortized `O~(1)`. Panics on
-    /// NaN/infinite coordinates (see `DynamicClusterer::try_insert` for
-    /// the fallible boundary).
-    pub fn insert(&mut self, p: Point<D>) -> PointId {
-        crate::params::validate_point(&p, 0).unwrap_or_else(|e| panic!("{e}"));
-        let id = self.points.push(0, 0);
-        let (cell, slot) = self.grid.insert_point(&p, id);
-        {
-            let rec = self.points.get_mut(id);
-            rec.cell = cell;
-            rec.slot = slot;
-        }
-        while self.cell_instances.len() <= cell as usize {
-            self.cell_instances.push(Vec::new());
-        }
-        self.snap.mark(cell);
-
-        let min_pts = self.params.min_pts;
-        let count = self.grid.cell(cell).count();
-        let mut promotions: Vec<PointId> = Vec::new();
-
-        // New point's own status (dense shortcut or approximate count).
-        if count >= min_pts {
-            promotions.push(id);
-            if count == min_pts {
-                // The cell just became dense: every resident is now
-                // definitely core; no count queries needed.
-                let points = &self.points;
-                for &q in self.grid.cell(cell).all.items() {
-                    if q != id && !points.is_core(q) {
-                        promotions.push(q);
-                    }
-                }
-            }
-        } else {
-            self.stats.count_queries += 1;
-            if self.grid.count_ball_sandwich(&p) >= min_pts {
-                promotions.push(id);
-            }
-        }
-
-        // Re-check non-core points of (1+rho)eps-close sparse cells whose
-        // ball gained the new point: one neighbor visitation over the
-        // cells' SoA blocks.
-        let hi_sq = self.params.eps_hi_sq();
-        let mut candidates: Vec<PointId> = Vec::new();
-        {
-            let points = &self.points;
-            self.grid
-                .visit_neighbor_cells(cell, NeighborScope::Trigger, |_, c| {
-                    if c.count() >= min_pts {
-                        return; // dense: residents already core
-                    }
-                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
-                        if q != id && dist_sq(qp, &p) <= hi_sq && !points.is_core(q) {
-                            candidates.push(q);
-                        }
-                    }
-                });
-        }
-        for q in candidates {
-            self.stats.count_queries += 1;
-            let rec = self.points.get(q);
-            let qp = *self.grid.cell(rec.cell).all.point(rec.slot);
-            if self
-                .grid
-                .count_ball_from(rec.cell, &qp, self.params.eps, self.params.eps_hi())
-                >= min_pts
-            {
-                promotions.push(q);
-            }
-        }
-
-        for q in promotions {
-            self.on_became_core(q);
-        }
-        id
-    }
-
-    /// Inserts a batch of points through the cell-major pipeline: place
-    /// everything, group by target cell, recompute statuses once per
-    /// touched cell, and flush all promotions (GUM + connectivity) in a
-    /// single pass. The per-cell status phases run on the parallel flush
-    /// pool (see `core::parallel`); results are merged in cell-id
-    /// order, so the outcome is bit-identical at every thread count,
-    /// identical to looped insertion at `rho = 0`, and sandwich-valid at
-    /// `rho > 0`.
-    pub fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        if pts.len() < 2 {
-            return pts.iter().map(|p| self.insert(*p)).collect();
-        }
-        crate::params::validate_points(pts).unwrap_or_else(|e| panic!("{e}"));
-        self.pipeline.begin_flush(pts.len());
-        let batch_start = self.points.capacity_ids() as PointId;
-        let min_pts = self.params.min_pts;
-
-        // Phase 1: place the whole batch cell-major (the pure
-        // coordinate mapping runs on the pool; materialization and
-        // grouping stay sequential; tree maintenance is deferred to
-        // amortized doubling rebuilds inside `CellSet`).
-        let (cell_instances, snap) = (&mut self.cell_instances, &mut self.snap);
-        let (ids, groups) = crate::batch::place_batch(
-            &mut self.pipeline,
-            &mut self.grid,
-            &mut self.points,
-            pts,
-            |c| {
-                while cell_instances.len() <= c as usize {
-                    cell_instances.push(Vec::new());
-                }
-                snap.mark(c);
-            },
-        );
-
-        // Phase 2 (parallel): statuses of the batch's own points, one
-        // task per target cell (dense cells need no count queries; see
-        // `batch::promote_dense_cell`). Workers only read the grid and
-        // the arena.
-        let outcomes = {
-            let (grid, points, params) = (&self.grid, &self.points, &self.params);
-            let (ids, groups) = (&ids, &groups);
-            self.pipeline
-                .run(crate::batch::FlushPhase::Scan, groups.len(), |gi| {
-                    let (cell, members) = &groups[gi];
-                    let mut promotions: Vec<PointId> = Vec::new();
-                    let mut count_queries = 0u64;
-                    let dense = crate::batch::promote_dense_cell(
-                        grid,
-                        points,
-                        *cell,
-                        members,
-                        ids,
-                        min_pts,
-                        &mut promotions,
-                    );
-                    if !dense {
-                        for &k in members {
-                            count_queries += 1;
-                            let p = &pts[k as usize];
-                            if grid.count_ball_from(*cell, p, params.eps, params.eps_hi())
-                                >= min_pts
-                            {
-                                promotions.push(ids[k as usize]);
-                            }
-                        }
-                    }
-                    (promotions, count_queries)
-                })
-        };
-        let mut promotions: Vec<PointId> = Vec::new();
-        for (promos, queries) in outcomes {
-            self.stats.count_queries += queries;
-            promotions.extend(promos);
-        }
-
-        // Phase 3 (parallel): re-check pre-existing non-core points near
-        // the batch. Every touched trigger-neighbor cell is one task:
-        // its SoA block is swept against the arena-backed bucket of the
-        // batch points that can reach it, and each survivor whose ball
-        // gained a batch point is re-counted in place.
-        let buckets = crate::batch::neighbor_buckets(
-            &self.grid,
-            &groups,
-            |k| pts[k as usize],
-            NeighborScope::Trigger,
-            |c| c.count() < min_pts, // dense cells: residents already core
-        );
-        let hi_sq = self.params.eps_hi_sq();
-        let outcomes = {
-            let (grid, points, params, buckets) =
-                (&self.grid, &self.points, &self.params, &buckets);
-            self.pipeline
-                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
-                    let cell_id = buckets.cell(bi);
-                    let cell_obj = grid.cell(cell_id);
-                    let mut promotions: Vec<PointId> = Vec::new();
-                    let mut count_queries = 0u64;
-                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
-                        if q >= batch_start || points.is_core(q) {
-                            continue; // batch points handled in phase 2
-                        }
-                        if buckets.any_within_sq(bi, qp, hi_sq) {
-                            count_queries += 1;
-                            if grid.count_ball_from(cell_id, qp, params.eps, params.eps_hi())
-                                >= min_pts
-                            {
-                                promotions.push(q);
-                            }
-                        }
-                    }
-                    (promotions, count_queries)
-                })
-        };
-        self.pipeline.note_cell_scans(buckets.len());
-        for (promos, queries) in outcomes {
-            self.stats.count_queries += queries;
-            promotions.extend(promos);
-        }
-
-        // Phase 4: flush all promotions (GUM + connectivity) in one
-        // pass; the read-only halves of the per-cell GUM rounds run on
-        // the pool.
-        self.flush_promotions(&promotions);
-        ids
-    }
 
     /// Flushes a block of promotions: the shared preamble
     /// ([`crate::batch::extend_core_blocks`]) extends each cell's core
@@ -620,137 +320,6 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
         self.points.kill(id);
         self.snap.mark_dead(id);
         (cell, p)
-    }
-
-    /// Deletes a point by id. Amortized `O~(1)`. Panics on unknown or
-    /// already-deleted ids.
-    pub fn delete(&mut self, id: PointId) {
-        let (cell, p) = self.remove_from_grid(id);
-
-        // Re-check core points of (1+rho)eps-close sparse cells whose ball
-        // lost the deleted point. (Points in still-dense cells remain
-        // definitely core.)
-        let min_pts = self.params.min_pts;
-        let hi_sq = self.params.eps_hi_sq();
-        let mut candidates: Vec<PointId> = Vec::new();
-        {
-            let points = &self.points;
-            self.grid
-                .visit_neighbor_cells(cell, NeighborScope::Trigger, |_, c| {
-                    if c.count() >= min_pts {
-                        return;
-                    }
-                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
-                        if dist_sq(qp, &p) <= hi_sq && points.is_core(q) {
-                            candidates.push(q);
-                        }
-                    }
-                });
-        }
-        for q in candidates {
-            self.stats.count_queries += 1;
-            let rec = self.points.get(q);
-            let qp = *self.grid.cell(rec.cell).all.point(rec.slot);
-            if self
-                .grid
-                .count_ball_from(rec.cell, &qp, self.params.eps, self.params.eps_hi())
-                < min_pts
-            {
-                self.on_lost_core(q, qp);
-            }
-        }
-    }
-
-    /// Deletes a batch of points through the cell-major pipeline: pull
-    /// everything out of the grid, then re-check each touched cell's
-    /// surviving core points exactly once against the batch's coordinate
-    /// block, flushing demotions (GUM + connectivity) in a single pass.
-    /// The per-touched-cell scan-and-recount phase runs on the parallel
-    /// flush pool with a cell-id-order merge — bit-identical at every
-    /// thread count, identical to looped deletion at `rho = 0`,
-    /// sandwich-valid at `rho > 0`.
-    pub fn delete_batch(&mut self, del_ids: &[PointId]) {
-        if del_ids.len() < 2 {
-            for &id in del_ids {
-                self.delete(id);
-            }
-            return;
-        }
-        self.pipeline.begin_flush(del_ids.len());
-        let min_pts = self.params.min_pts;
-
-        // Phase 1 (sequential): pull every point out of the grid,
-        // recording coordinates per source cell; the GUM work of the
-        // departing core points is flushed in one batched pass — one
-        // witness re-anchoring round per aBCP instance per touched cell,
-        // instead of one per departed point.
-        let mut coords = Vec::with_capacity(del_ids.len());
-        let mut cells = Vec::with_capacity(del_ids.len());
-        let mut core_removals: Vec<PointId> = Vec::new();
-        for &id in del_ids {
-            let (cell, p) = self.detach_from_grid(id);
-            coords.push(p);
-            cells.push(cell);
-            if self.points.is_core(id) {
-                core_removals.push(id);
-            }
-            // Killed here (not after the flush) so a duplicate id in the
-            // batch hits `detach_from_grid`'s alive assert before any
-            // state is touched; the record's location fields survive the
-            // kill for the GUM flush below.
-            self.points.kill(id);
-            self.snap.mark_dead(id);
-        }
-        self.flush_core_removals(&core_removals);
-        let groups = crate::batch::group_by_cell(&cells);
-
-        // Phases 2-3 (parallel): re-check surviving core points near the
-        // batch. Every touched trigger-neighbor cell is one task: its
-        // SoA block is swept against the arena-backed bucket of deleted
-        // coordinates that can reach it, and each affected survivor is
-        // re-counted in place (counts read only `all` blocks, so the
-        // demotion decisions are independent of each other). Dense cells
-        // keep their residents definitely core and are skipped.
-        let buckets = crate::batch::neighbor_buckets(
-            &self.grid,
-            &groups,
-            |k| coords[k as usize],
-            NeighborScope::Trigger,
-            |c| c.count() < min_pts, // still-dense cells keep their cores
-        );
-        let hi_sq = self.params.eps_hi_sq();
-        let outcomes = {
-            let (grid, points, params, buckets) =
-                (&self.grid, &self.points, &self.params, &buckets);
-            self.pipeline
-                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
-                    let cell_id = buckets.cell(bi);
-                    let cell_obj = grid.cell(cell_id);
-                    let mut demotions: Vec<PointId> = Vec::new();
-                    let mut count_queries = 0u64;
-                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
-                        if points.is_core(q) && buckets.any_within_sq(bi, qp, hi_sq) {
-                            count_queries += 1;
-                            if grid.count_ball_from(cell_id, qp, params.eps, params.eps_hi())
-                                < min_pts
-                            {
-                                demotions.push(q);
-                            }
-                        }
-                    }
-                    (demotions, count_queries)
-                })
-        };
-        self.pipeline.note_cell_scans(buckets.len());
-        // Phase 4 (sequential): flush demotions through GUM and the CC
-        // structure in merged (cell-id, slot) order — again one witness
-        // re-anchoring round per aBCP instance per demoted cell.
-        let mut demotions: Vec<PointId> = Vec::new();
-        for (demoted, queries) in outcomes {
-            self.stats.count_queries += queries;
-            demotions.extend(demoted);
-        }
-        self.flush_core_removals(&demotions);
     }
 
     /// Unregisters a block of core points (departing or demoted) from
@@ -1087,66 +656,6 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
     // Queries
     // ------------------------------------------------------------------
 
-    /// Refreshes (if dirty) and returns the current epoch snapshot: the
-    /// CC labels are exported without treap rotations
-    /// ([`DynConnectivity::export_labels`]), and only the cells updates
-    /// touched get their anchors re-snapped — fanned over the persistent
-    /// worker pool when enough cells are dirty. Under delta tracking, a
-    /// relabeled cell's `eps`-scope residents are the points that may
-    /// anchor to it.
-    fn refresh(&self) -> Arc<ClusterSnapshot> {
-        // Borrow the two read-only structures the re-anchoring walk
-        // touches, so the closure is `Sync` without demanding it of the
-        // connectivity plugin `C` (which workers never see).
-        let grid = &self.grid;
-        let points = &self.points;
-        self.snap.read_with(
-            self.points.capacity_ids(),
-            || self.conn.export_labels(),
-            |cell, emit| {
-                let cell_obj = grid.cell(cell);
-                for (slot, &pid) in cell_obj.all.items().iter().enumerate() {
-                    if points.is_core(pid) {
-                        emit(pid, true, Anchors::One(cell));
-                    } else {
-                        let qp = cell_obj.all.point(slot as u32);
-                        emit(pid, false, crate::query::non_core_anchors(grid, cell, qp));
-                    }
-                }
-            },
-            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
-            Some(&self.pipeline),
-        )
-    }
-
-    /// The current epoch snapshot — `Arc`-share it with reader threads
-    /// and keep applying updates; their answers stay frozen at this
-    /// epoch while the next one is built copy-on-write.
-    pub fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        self.refresh()
-    }
-
-    /// Answers a C-group-by query over `q` in `O~(|Q|)` time (plus a
-    /// dirty-amortized snapshot refresh if updates preceded it). Panics
-    /// on dead ids; see [`try_group_by`](Self::try_group_by).
-    pub fn group_by(&self, q: &[PointId]) -> GroupBy {
-        self.refresh().group_by(q)
-    }
-
-    /// Fallible [`group_by`](Self::group_by): dead/unknown ids return
-    /// [`QueryError::DeadPoint`] naming the id instead of panicking.
-    pub fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        self.refresh().try_group_by(q)
-    }
-
-    /// The full clustering (`Q = P`), fanned across the persistent
-    /// worker pool in id-range chunks — bit-identical to the sequential
-    /// scan at every thread count.
-    pub fn group_all(&self) -> Clustering {
-        let snap = self.refresh();
-        crate::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
-    }
-
     /// The pre-snapshot query walk (`CC-Id` lookups through the live —
     /// mutating — connectivity structure): the differential-testing
     /// oracle the snapshot path is checked against.
@@ -1229,39 +738,402 @@ impl<const D: usize, C: DynConnectivity> FullDynDbscan<D, C> {
 
 impl<const D: usize, C: DynConnectivity> DynamicClusterer<D> for FullDynDbscan<D, C> {
     fn params(&self) -> &Params {
-        FullDynDbscan::params(self)
+        &self.params
     }
 
     fn len(&self) -> usize {
-        FullDynDbscan::len(self)
+        self.points.len()
     }
 
     fn supports_deletion(&self) -> bool {
         true
     }
 
+    /// Amortized `O~(1)` (Theorem 4).
     fn insert(&mut self, p: Point<D>) -> PointId {
-        FullDynDbscan::insert(self, p)
+        crate::params::validate_point(&p, 0, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        let id = self.points.push(0, 0);
+        let (cell, slot) = self.grid.insert_point(&p, id);
+        {
+            let rec = self.points.get_mut(id);
+            rec.cell = cell;
+            rec.slot = slot;
+        }
+        while self.cell_instances.len() <= cell as usize {
+            self.cell_instances.push(Vec::new());
+        }
+        self.snap.mark(cell);
+
+        let min_pts = self.params.min_pts;
+        let count = self.grid.cell(cell).count();
+        let mut promotions: Vec<PointId> = Vec::new();
+
+        // New point's own status (dense shortcut or approximate count).
+        if count >= min_pts {
+            promotions.push(id);
+            if count == min_pts {
+                // The cell just became dense: every resident is now
+                // definitely core; no count queries needed.
+                let points = &self.points;
+                for &q in self.grid.cell(cell).all.items() {
+                    if q != id && !points.is_core(q) {
+                        promotions.push(q);
+                    }
+                }
+            }
+        } else {
+            self.stats.range_queries += 1;
+            if self.grid.count_ball_sandwich(&p) >= min_pts {
+                promotions.push(id);
+            }
+        }
+
+        // Re-check non-core points of (1+rho)eps-close sparse cells whose
+        // ball gained the new point: one neighbor visitation over the
+        // cells' SoA blocks.
+        let hi_sq = self.params.eps_hi_sq();
+        let mut candidates: Vec<PointId> = Vec::new();
+        {
+            let points = &self.points;
+            self.grid
+                .visit_neighbor_cells(cell, NeighborScope::Trigger, |_, c| {
+                    if c.count() >= min_pts {
+                        return; // dense: residents already core
+                    }
+                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
+                        if q != id && dist_sq(qp, &p) <= hi_sq && !points.is_core(q) {
+                            candidates.push(q);
+                        }
+                    }
+                });
+        }
+        for q in candidates {
+            self.stats.range_queries += 1;
+            let rec = self.points.get(q);
+            let qp = *self.grid.cell(rec.cell).all.point(rec.slot);
+            if self
+                .grid
+                .count_ball_from(rec.cell, &qp, self.params.eps, self.params.eps_hi())
+                >= min_pts
+            {
+                promotions.push(q);
+            }
+        }
+
+        for q in promotions {
+            self.on_became_core(q);
+        }
+        id
     }
 
+    /// Inserts a batch of points through the cell-major pipeline: place
+    /// everything, group by target cell, recompute statuses once per
+    /// touched cell, and flush all promotions (GUM + connectivity) in a
+    /// single pass. The per-cell status phases run on the parallel flush
+    /// pool (see `core::parallel`); results are merged in cell-id
+    /// order, so the outcome is bit-identical at every thread count,
+    /// identical to looped insertion at `rho = 0`, and sandwich-valid at
+    /// `rho > 0`.
+    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
+        if pts.len() < 2 {
+            return pts.iter().map(|p| self.insert(*p)).collect();
+        }
+        crate::params::validate_points(pts, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        self.pipeline.begin_flush(pts.len());
+        let batch_start = self.points.capacity_ids() as PointId;
+        let min_pts = self.params.min_pts;
+
+        // Phase 1: place the whole batch cell-major (the pure
+        // coordinate mapping runs on the pool; materialization and
+        // grouping stay sequential; tree maintenance is deferred to
+        // amortized doubling rebuilds inside `CellSet`).
+        let (cell_instances, snap) = (&mut self.cell_instances, &mut self.snap);
+        let (ids, groups) = crate::batch::place_batch(
+            &mut self.pipeline,
+            &mut self.grid,
+            &mut self.points,
+            pts,
+            |c| {
+                while cell_instances.len() <= c as usize {
+                    cell_instances.push(Vec::new());
+                }
+                snap.mark(c);
+            },
+        );
+
+        // Phase 2 (parallel): statuses of the batch's own points, one
+        // task per target cell (dense cells need no count queries; see
+        // `batch::promote_dense_cell`). Workers only read the grid and
+        // the arena.
+        let outcomes = {
+            let (grid, points, params) = (&self.grid, &self.points, &self.params);
+            let (ids, groups) = (&ids, &groups);
+            self.pipeline
+                .run(crate::batch::FlushPhase::Scan, groups.len(), |gi| {
+                    let (cell, members) = &groups[gi];
+                    let mut promotions: Vec<PointId> = Vec::new();
+                    let mut count_queries = 0u64;
+                    let dense = crate::batch::promote_dense_cell(
+                        grid,
+                        points,
+                        *cell,
+                        members,
+                        ids,
+                        min_pts,
+                        &mut promotions,
+                    );
+                    if !dense {
+                        for &k in members {
+                            count_queries += 1;
+                            let p = &pts[k as usize];
+                            if grid.count_ball_from(*cell, p, params.eps, params.eps_hi())
+                                >= min_pts
+                            {
+                                promotions.push(ids[k as usize]);
+                            }
+                        }
+                    }
+                    (promotions, count_queries)
+                })
+        };
+        let mut promotions: Vec<PointId> = Vec::new();
+        for (promos, queries) in outcomes {
+            self.stats.range_queries += queries;
+            promotions.extend(promos);
+        }
+
+        // Phase 3 (parallel): re-check pre-existing non-core points near
+        // the batch. Every touched trigger-neighbor cell is one task:
+        // its SoA block is swept against the arena-backed bucket of the
+        // batch points that can reach it, and each survivor whose ball
+        // gained a batch point is re-counted in place.
+        let buckets = crate::batch::neighbor_buckets(
+            &self.grid,
+            &groups,
+            |k| pts[k as usize],
+            NeighborScope::Trigger,
+            |c| c.count() < min_pts, // dense cells: residents already core
+        );
+        let hi_sq = self.params.eps_hi_sq();
+        let outcomes = {
+            let (grid, points, params, buckets) =
+                (&self.grid, &self.points, &self.params, &buckets);
+            self.pipeline
+                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
+                    let cell_id = buckets.cell(bi);
+                    let cell_obj = grid.cell(cell_id);
+                    let mut promotions: Vec<PointId> = Vec::new();
+                    let mut count_queries = 0u64;
+                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
+                        if q >= batch_start || points.is_core(q) {
+                            continue; // batch points handled in phase 2
+                        }
+                        if buckets.any_within_sq(bi, qp, hi_sq) {
+                            count_queries += 1;
+                            if grid.count_ball_from(cell_id, qp, params.eps, params.eps_hi())
+                                >= min_pts
+                            {
+                                promotions.push(q);
+                            }
+                        }
+                    }
+                    (promotions, count_queries)
+                })
+        };
+        self.pipeline.note_cell_scans(buckets.len());
+        for (promos, queries) in outcomes {
+            self.stats.range_queries += queries;
+            promotions.extend(promos);
+        }
+
+        // Phase 4: flush all promotions (GUM + connectivity) in one
+        // pass; the read-only halves of the per-cell GUM rounds run on
+        // the pool.
+        self.flush_promotions(&promotions);
+        ids
+    }
+
+    /// Deletes a point by id. Amortized `O~(1)`. Panics on unknown or
+    /// already-deleted ids.
     fn delete(&mut self, id: PointId) {
-        FullDynDbscan::delete(self, id)
+        let (cell, p) = self.remove_from_grid(id);
+
+        // Re-check core points of (1+rho)eps-close sparse cells whose ball
+        // lost the deleted point. (Points in still-dense cells remain
+        // definitely core.)
+        let min_pts = self.params.min_pts;
+        let hi_sq = self.params.eps_hi_sq();
+        let mut candidates: Vec<PointId> = Vec::new();
+        {
+            let points = &self.points;
+            self.grid
+                .visit_neighbor_cells(cell, NeighborScope::Trigger, |_, c| {
+                    if c.count() >= min_pts {
+                        return;
+                    }
+                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
+                        if dist_sq(qp, &p) <= hi_sq && points.is_core(q) {
+                            candidates.push(q);
+                        }
+                    }
+                });
+        }
+        for q in candidates {
+            self.stats.range_queries += 1;
+            let rec = self.points.get(q);
+            let qp = *self.grid.cell(rec.cell).all.point(rec.slot);
+            if self
+                .grid
+                .count_ball_from(rec.cell, &qp, self.params.eps, self.params.eps_hi())
+                < min_pts
+            {
+                self.on_lost_core(q, qp);
+            }
+        }
+    }
+
+    /// Deletes a batch of points through the cell-major pipeline: pull
+    /// everything out of the grid, then re-check each touched cell's
+    /// surviving core points exactly once against the batch's coordinate
+    /// block, flushing demotions (GUM + connectivity) in a single pass.
+    /// The per-touched-cell scan-and-recount phase runs on the parallel
+    /// flush pool with a cell-id-order merge — bit-identical at every
+    /// thread count, identical to looped deletion at `rho = 0`,
+    /// sandwich-valid at `rho > 0`.
+    fn delete_batch(&mut self, del_ids: &[PointId]) {
+        if del_ids.len() < 2 {
+            for &id in del_ids {
+                self.delete(id);
+            }
+            return;
+        }
+        self.pipeline.begin_flush(del_ids.len());
+        let min_pts = self.params.min_pts;
+
+        // Phase 1 (sequential): pull every point out of the grid,
+        // recording coordinates per source cell; the GUM work of the
+        // departing core points is flushed in one batched pass — one
+        // witness re-anchoring round per aBCP instance per touched cell,
+        // instead of one per departed point.
+        let mut coords = Vec::with_capacity(del_ids.len());
+        let mut cells = Vec::with_capacity(del_ids.len());
+        let mut core_removals: Vec<PointId> = Vec::new();
+        for &id in del_ids {
+            let (cell, p) = self.detach_from_grid(id);
+            coords.push(p);
+            cells.push(cell);
+            if self.points.is_core(id) {
+                core_removals.push(id);
+            }
+            // Killed here (not after the flush) so a duplicate id in the
+            // batch hits `detach_from_grid`'s alive assert before any
+            // state is touched; the record's location fields survive the
+            // kill for the GUM flush below.
+            self.points.kill(id);
+            self.snap.mark_dead(id);
+        }
+        self.flush_core_removals(&core_removals);
+        let groups = crate::batch::group_by_cell(&cells);
+
+        // Phases 2-3 (parallel): re-check surviving core points near the
+        // batch. Every touched trigger-neighbor cell is one task: its
+        // SoA block is swept against the arena-backed bucket of deleted
+        // coordinates that can reach it, and each affected survivor is
+        // re-counted in place (counts read only `all` blocks, so the
+        // demotion decisions are independent of each other). Dense cells
+        // keep their residents definitely core and are skipped.
+        let buckets = crate::batch::neighbor_buckets(
+            &self.grid,
+            &groups,
+            |k| coords[k as usize],
+            NeighborScope::Trigger,
+            |c| c.count() < min_pts, // still-dense cells keep their cores
+        );
+        let hi_sq = self.params.eps_hi_sq();
+        let outcomes = {
+            let (grid, points, params, buckets) =
+                (&self.grid, &self.points, &self.params, &buckets);
+            self.pipeline
+                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
+                    let cell_id = buckets.cell(bi);
+                    let cell_obj = grid.cell(cell_id);
+                    let mut demotions: Vec<PointId> = Vec::new();
+                    let mut count_queries = 0u64;
+                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
+                        if points.is_core(q) && buckets.any_within_sq(bi, qp, hi_sq) {
+                            count_queries += 1;
+                            if grid.count_ball_from(cell_id, qp, params.eps, params.eps_hi())
+                                < min_pts
+                            {
+                                demotions.push(q);
+                            }
+                        }
+                    }
+                    (demotions, count_queries)
+                })
+        };
+        self.pipeline.note_cell_scans(buckets.len());
+        // Phase 4 (sequential): flush demotions through GUM and the CC
+        // structure in merged (cell-id, slot) order — again one witness
+        // re-anchoring round per aBCP instance per demoted cell.
+        let mut demotions: Vec<PointId> = Vec::new();
+        for (demoted, queries) in outcomes {
+            self.stats.range_queries += queries;
+            demotions.extend(demoted);
+        }
+        self.flush_core_removals(&demotions);
     }
 
     fn is_core(&self, id: PointId) -> bool {
-        FullDynDbscan::is_core(self, id)
+        self.points.is_core(id)
     }
 
+    /// Coordinates of an alive point, read from its cell's SoA block.
+    /// Panics on deleted ids (the grid no longer stores their
+    /// coordinates).
     fn coords(&self, id: PointId) -> Point<D> {
-        FullDynDbscan::coords(self, id)
+        assert!(
+            self.points.is_alive(id),
+            "coords of deleted or unknown point id {id}"
+        );
+        let r = self.points.get(id);
+        *self.grid.cell(r.cell).all.point(r.slot)
     }
 
     fn alive_ids(&self) -> Vec<PointId> {
-        FullDynDbscan::alive_ids(self)
+        self.points.iter_alive().map(|(i, _)| i).collect()
     }
 
+    /// Refreshes (if dirty) and returns the current epoch snapshot: the
+    /// CC labels are exported without treap rotations
+    /// ([`DynConnectivity::export_labels`]), and only the cells updates
+    /// touched get their anchors re-snapped — fanned over the persistent
+    /// worker pool when enough cells are dirty. Under delta tracking, a
+    /// relabeled cell's `eps`-scope residents are the points that may
+    /// anchor to it.
     fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        FullDynDbscan::snapshot(self)
+        // Borrow the two read-only structures the re-anchoring walk
+        // touches, so the closure is `Sync` without demanding it of the
+        // connectivity plugin `C` (which workers never see).
+        let grid = &self.grid;
+        let points = &self.points;
+        self.snap.read_with(
+            self.points.capacity_ids(),
+            || self.conn.export_labels(),
+            |cell, emit| {
+                let cell_obj = grid.cell(cell);
+                for (slot, &pid) in cell_obj.all.items().iter().enumerate() {
+                    if points.is_core(pid) {
+                        emit(pid, true, Anchors::One(cell));
+                    } else {
+                        let qp = cell_obj.all.point(slot as u32);
+                        emit(pid, false, crate::query::non_core_anchors(grid, cell, qp));
+                    }
+                }
+            },
+            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
+            Some(&self.pipeline),
+        )
     }
 
     fn epoch_handle(&self) -> EpochHandle {
@@ -1272,38 +1144,46 @@ impl<const D: usize, C: DynConnectivity> DynamicClusterer<D> for FullDynDbscan<D
         self.snap.set_track_deltas(on);
     }
 
-    fn group_by(&self, q: &[PointId]) -> GroupBy {
-        FullDynDbscan::group_by(self, q)
-    }
-
-    fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        FullDynDbscan::try_group_by(self, q)
-    }
-
     fn group_all(&self) -> Clustering {
-        FullDynDbscan::group_all(self)
+        let snap = self.snapshot();
+        crate::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
     }
 
-    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        FullDynDbscan::insert_batch(self, pts)
-    }
-
-    fn delete_batch(&mut self, ids: &[PointId]) {
-        FullDynDbscan::delete_batch(self, ids)
-    }
-
+    /// `range_queries` counts approximate range counts; the aBCP
+    /// lifecycle is in `instances_created`/`instances_destroyed`.
     fn stats(&self) -> ClustererStats {
-        let s = self.stats;
-        ClustererStats {
-            range_queries: s.count_queries,
-            promotions: s.promotions,
-            demotions: s.demotions,
-            edge_inserts: s.edge_inserts,
-            edge_removes: s.edge_removes,
-            ..ClustererStats::default()
+        self.stats
+            .with_flush(self.pipeline.stats())
+            .with_snapshot(&self.snap)
+    }
+}
+
+// `ShardedDbscan` drives shard engines through these: grid/arena reads
+// for the composed snapshot export, the snapshot mark log, and the
+// grid-graph edge log. The engine itself stays shard-oblivious.
+impl<const D: usize, C: DynConnectivity + Send + Sync> ShardEngine<D> for FullDynDbscan<D, C> {
+    fn shard_grid(&self) -> &GridIndex<D> {
+        &self.grid
+    }
+
+    fn shard_points(&self) -> &PointArena {
+        &self.points
+    }
+
+    fn enable_shard_taps(&mut self) {
+        self.edge_log = Some(Vec::new());
+        self.snap.set_mark_log(true);
+    }
+
+    fn drain_shard_taps(&mut self) -> ShardTaps {
+        ShardTaps {
+            marks: self.snap.take_mark_log(),
+            edges: self
+                .edge_log
+                .as_mut()
+                .map(std::mem::take)
+                .unwrap_or_default(),
         }
-        .with_flush(self.pipeline.stats())
-        .with_snapshot(&self.snap)
     }
 }
 

@@ -49,7 +49,7 @@
 //! ## Example
 //!
 //! ```
-//! use dydbscan_core::{FullDynDbscan, Params};
+//! use dydbscan_core::{DynamicClusterer, FullDynDbscan, Params};
 //!
 //! let params = Params::new(1.0, 3).with_rho(0.001);
 //! let mut clusterer = FullDynDbscan::<2>::new(params);
@@ -82,13 +82,13 @@ pub mod verify;
 
 pub use api::{ClustererStats, DynamicClusterer};
 pub use batch::{FlushPhase, FlushPipeline, FlushStats};
-pub use full::{FullDynDbscan, FullStats};
+pub use full::FullDynDbscan;
 pub use groups::{Clustering, GroupBy};
 pub use ops::Op;
 pub use parallel::sched;
 pub use params::{validate_point, validate_points, ParamError, Params};
 pub use points::{PointArena, PointId, PointRec};
-pub use semi::{SemiDynDbscan, SemiStats};
+pub use semi::SemiDynDbscan;
 pub use shard::{ShardEngine, ShardTaps, ShardedDbscan};
 pub use snapshot::{
     ChangeFeed, ClusterSnapshot, DeltaEntry, EpochHandle, PointState, QueryError, SnapshotDelta,

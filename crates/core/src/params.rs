@@ -10,7 +10,7 @@
 //! [`Params::try_new`] / [`Params::try_with_rho`] for front-ends (such as
 //! `dydbscan::DbscanBuilder`) that accept runtime configuration.
 
-use dydbscan_geom::Point;
+use dydbscan_geom::{side_for_eps, Point};
 use std::fmt;
 
 /// A rejected parameter or input row (see [`Params::try_new`] and
@@ -34,6 +34,17 @@ pub enum ParamError {
         /// Index of the offending coordinate within the row.
         axis: usize,
     },
+    /// An input row carried a finite coordinate too large for the `i32`
+    /// grid cells, `|x| >= 2^30 * side` with `side = eps / sqrt(D)`: row
+    /// `id`, coordinate `axis` (as in `InvalidPoint`). Every engine
+    /// applies this one bound, so swapping engines never changes which
+    /// rows are accepted.
+    Unrepresentable {
+        /// Index of the offending row within the call's batch.
+        id: usize,
+        /// Index of the offending coordinate within the row.
+        axis: usize,
+    },
 }
 
 impl fmt::Display for ParamError {
@@ -48,28 +59,61 @@ impl fmt::Display for ParamError {
                 f,
                 "point {id} has a non-finite coordinate on axis {axis} (NaN/infinity rejected)"
             ),
+            ParamError::Unrepresentable { id, axis } => write!(
+                f,
+                "point {id} has a coordinate on axis {axis} too large for the grid \
+                 (|x| / cell side must stay below 2^30)"
+            ),
         }
     }
 }
 
 impl std::error::Error for ParamError {}
 
-/// Validates one input row: every coordinate must be finite. `id` is the
-/// row's index within the caller's batch, echoed into the error.
+/// The exclusive bound on `|x| / side`: `2^30` leaves headroom below
+/// `i32::MAX` for the neighbour offsets and the shard map's ghost ring.
+const MAX_CELL_COORD: f64 = (1u64 << 30) as f64;
+
+/// One comparison per coordinate against `bound = 2^30 * side`; the
+/// rare failure is classified after.
 #[inline]
-pub fn validate_point<const D: usize>(p: &Point<D>, id: usize) -> Result<(), ParamError> {
-    match p.iter().position(|c| !c.is_finite()) {
-        None => Ok(()),
-        Some(axis) => Err(ParamError::InvalidPoint { id, axis }),
+fn check_row<const D: usize>(p: &Point<D>, id: usize, bound: f64) -> Result<(), ParamError> {
+    for (axis, x) in p.iter().enumerate() {
+        if x.abs() < bound {
+            continue; // false for NaN too
+        }
+        return Err(if x.is_finite() {
+            ParamError::Unrepresentable { id, axis }
+        } else {
+            ParamError::InvalidPoint { id, axis }
+        });
     }
+    Ok(())
 }
 
-/// Validates a batch of input rows, reporting the first offending
-/// `(row, axis)` pair as [`ParamError::InvalidPoint`].
+/// Validates one input row against `params`: every coordinate must be
+/// finite ([`ParamError::InvalidPoint`]) and map to a representable grid
+/// cell ([`ParamError::Unrepresentable`]). `id` is the row's index
+/// within the caller's batch, echoed into the error.
 #[inline]
-pub fn validate_points<const D: usize>(pts: &[Point<D>]) -> Result<(), ParamError> {
+pub fn validate_point<const D: usize>(
+    p: &Point<D>,
+    id: usize,
+    params: &Params,
+) -> Result<(), ParamError> {
+    check_row(p, id, MAX_CELL_COORD * side_for_eps::<D>(params.eps))
+}
+
+/// Validates a batch of input rows (see [`validate_point`]), reporting
+/// the first offending `(row, axis)` pair.
+#[inline]
+pub fn validate_points<const D: usize>(
+    pts: &[Point<D>],
+    params: &Params,
+) -> Result<(), ParamError> {
+    let bound = MAX_CELL_COORD * side_for_eps::<D>(params.eps);
     for (id, p) in pts.iter().enumerate() {
-        validate_point(p, id)?;
+        check_row(p, id, bound)?;
     }
     Ok(())
 }
@@ -228,21 +272,45 @@ mod tests {
 
     #[test]
     fn point_validation_reports_row_and_axis() {
-        assert_eq!(validate_point(&[0.0, 1.0], 7), Ok(()));
+        let params = Params::new(1.0, 2);
+        assert_eq!(validate_point(&[0.0, 1.0], 7, &params), Ok(()));
         assert_eq!(
-            validate_point(&[0.0, f64::NAN], 7),
+            validate_point(&[0.0, f64::NAN], 7, &params),
             Err(ParamError::InvalidPoint { id: 7, axis: 1 })
         );
         assert_eq!(
-            validate_point(&[f64::INFINITY, 0.0], 0),
+            validate_point(&[f64::INFINITY, 0.0], 0, &params),
             Err(ParamError::InvalidPoint { id: 0, axis: 0 })
         );
         let rows: [[f64; 3]; 3] = [[0.0; 3], [1.0, f64::NEG_INFINITY, 2.0], [f64::NAN; 3]];
         assert_eq!(
-            validate_points(&rows),
+            validate_points(&rows, &params),
             Err(ParamError::InvalidPoint { id: 1, axis: 1 }),
             "first offending row wins"
         );
-        assert_eq!(validate_points(&rows[..1]), Ok(()));
+        assert_eq!(validate_points(&rows[..1], &params), Ok(()));
+    }
+
+    #[test]
+    fn point_validation_rejects_unrepresentable_coordinates() {
+        // eps 1 in 2-d: side 1/sqrt(2), bound 2^30 / sqrt(2) ~ 7.6e8.
+        let params = Params::new(1.0, 2);
+        let bound = (1u64 << 30) as f64 * side_for_eps::<2>(1.0);
+        assert_eq!(validate_point(&[bound * 0.999, 0.0], 0, &params), Ok(()));
+        assert_eq!(
+            validate_point(&[0.0, -bound], 3, &params),
+            Err(ParamError::Unrepresentable { id: 3, axis: 1 })
+        );
+        assert_eq!(
+            validate_points(&[[1e5, 1e5], [1e12, 0.0], [2e12, 0.0]], &params),
+            Err(ParamError::Unrepresentable { id: 1, axis: 0 })
+        );
+        // The bound scales with eps: a wide radius admits the same row.
+        assert_eq!(
+            validate_point(&[1e12, 0.0], 0, &Params::new(1e4, 2)),
+            Ok(())
+        );
+        let msg = ParamError::Unrepresentable { id: 1, axis: 0 }.to_string();
+        assert!(msg.contains("point 1") && msg.contains("axis 0") && msg.contains("too large"));
     }
 }

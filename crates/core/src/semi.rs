@@ -30,32 +30,19 @@ use crate::groups::{Clustering, GroupBy};
 use crate::params::Params;
 use crate::points::{PointArena, PointId};
 use crate::query::c_group_by;
-use crate::snapshot::{Anchors, ClusterSnapshot, EpochHandle, QueryError, SnapshotState};
+use crate::shard::{ShardEngine, ShardTaps};
+use crate::snapshot::{Anchors, ClusterSnapshot, EpochHandle, SnapshotState};
 use dydbscan_conn::UnionFind;
 use dydbscan_geom::{dist_sq, FxHashSet, Point};
 use dydbscan_grid::{CellId, GridIndex, NeighborScope};
 use std::sync::Arc;
-
-/// Operation counters for cost provenance (semi-dynamic regime). The
-/// shared batch/parallelism counters live in the engine's
-/// [`FlushPipeline`](crate::batch::FlushPipeline) — see
-/// [`SemiDynDbscan::flush_stats`].
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SemiStats {
-    /// Exact vicinity counts computed for newly inserted points.
-    pub count_queries: u64,
-    /// Points promoted to core (insertions never demote).
-    pub promotions: u64,
-    /// Emptiness probes issued by GUM.
-    pub emptiness_probes: u64,
-}
 
 /// Semi-dynamic ρ-approximate DBSCAN (exact when `rho = 0`).
 ///
 /// # Example
 ///
 /// ```
-/// use dydbscan_core::{Params, SemiDynDbscan};
+/// use dydbscan_core::{DynamicClusterer, Params, SemiDynDbscan};
 ///
 /// let mut c = SemiDynDbscan::<2>::new(Params::new(1.0, 2));
 /// let a = c.insert([1.0, 1.0]);
@@ -89,7 +76,10 @@ pub struct SemiDynDbscan<const D: usize> {
     /// mark the cells they touch dirty; queries refresh amortized over
     /// those cells only.
     snap: SnapshotState,
-    stats: SemiStats,
+    /// Operation counters (`range_queries` = exact vicinity counts plus
+    /// GUM emptiness probes); the edge, flush and snapshot counters are
+    /// filled in by `stats()`.
+    stats: ClustererStats,
 }
 
 impl<const D: usize> SemiDynDbscan<D> {
@@ -107,7 +97,7 @@ impl<const D: usize> SemiDynDbscan<D> {
             cell_scratch: Vec::new(),
             pipeline: crate::batch::FlushPipeline::new(),
             snap: SnapshotState::new(),
-            stats: SemiStats::default(),
+            stats: ClustererStats::default(),
         }
     }
 
@@ -126,64 +116,11 @@ impl<const D: usize> SemiDynDbscan<D> {
         self.pipeline.threads()
     }
 
-    // ---- shard-wrapper hooks (crate-private) ---------------------------
-    // `ShardedDbscan` drives shard engines through these: grid/arena
-    // reads for the composed snapshot export, the snapshot mark log, and
-    // the grid-graph edge log. The engine itself stays shard-oblivious.
-
-    pub(crate) fn shard_grid(&self) -> &GridIndex<D> {
-        &self.grid
-    }
-
-    pub(crate) fn shard_points(&self) -> &PointArena {
-        &self.points
-    }
-
-    pub(crate) fn shard_snap_mut(&mut self) -> &mut SnapshotState {
-        &mut self.snap
-    }
-
-    pub(crate) fn set_edge_log(&mut self, on: bool) {
-        self.edge_log = on.then(Vec::new);
-    }
-
-    pub(crate) fn take_edge_log(&mut self) -> Vec<(CellId, CellId)> {
-        match self.edge_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> SemiStats {
-        self.stats
-    }
-
-    /// The shared flush-pipeline counters (batching + parallelism).
-    pub fn flush_stats(&self) -> crate::batch::FlushStats {
-        self.pipeline.stats()
-    }
-
     /// Whether the persistent flush crew is currently spawned (it is
     /// lazily spawned by the first flush phase that goes parallel and
     /// parked between flushes).
     pub fn pool_spawned(&self) -> bool {
         self.pipeline.pool_spawned()
-    }
-
-    /// The clustering parameters.
-    pub fn params(&self) -> &Params {
-        &self.params
-    }
-
-    /// Number of alive points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if no points were inserted.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// Number of grid-graph edges materialized so far.
@@ -194,229 +131,6 @@ impl<const D: usize> SemiDynDbscan<D> {
     /// Number of materialized grid cells.
     pub fn num_cells(&self) -> usize {
         self.grid.num_cells()
-    }
-
-    /// Whether `id` is currently a core point.
-    pub fn is_core(&self, id: PointId) -> bool {
-        self.points.is_core(id)
-    }
-
-    /// Coordinates of a point, read from its cell's SoA block.
-    pub fn coords(&self, id: PointId) -> Point<D> {
-        let r = self.points.get(id);
-        *self.grid.cell(r.cell).all.point(r.slot)
-    }
-
-    /// Inserts a point; returns its id. Amortized `O~(1)`. Panics on
-    /// NaN/infinite coordinates (see `DynamicClusterer::try_insert` for
-    /// the fallible boundary).
-    pub fn insert(&mut self, p: Point<D>) -> PointId {
-        crate::params::validate_point(&p, 0).unwrap_or_else(|e| panic!("{e}"));
-        let id = self.points.push(0, 0);
-        let (cell, slot) = self.grid.insert_point(&p, id);
-        {
-            let rec = self.points.get_mut(id);
-            rec.cell = cell;
-            rec.slot = slot;
-        }
-        self.uf.ensure(cell);
-        self.snap.mark(cell);
-
-        let count = self.grid.cell(cell).count();
-        let min_pts = self.params.min_pts;
-        let mut promotions = std::mem::take(&mut self.promo_scratch);
-        promotions.clear();
-
-        // --- Core status of the new point (Section 5, steps 1-2) ---
-        if count >= min_pts {
-            // Dense cell: core outright (cell diameter is eps).
-            promotions.push(id);
-            if count == min_pts {
-                // The cell *became* dense: every resident becomes core.
-                let points = &self.points;
-                for &q in self.grid.cell(cell).all.items() {
-                    if q != id && !points.is_core(q) {
-                        promotions.push(q);
-                    }
-                }
-            }
-        } else {
-            self.stats.count_queries += 1;
-            let k = self.grid.count_ball_exact(&p);
-            self.points.get_mut(id).vincnt = k as u32;
-            if k >= min_pts {
-                promotions.push(id);
-            }
-        }
-
-        // --- Vicinity-count maintenance for neighbors (Section 5) ---
-        // The new point may raise vincnt of non-core points in eps-close
-        // *sparse* cells (non-core points live only in sparse cells). One
-        // neighbor visitation sweeps each cell's SoA block.
-        let eps_sq = self.params.eps_sq();
-        let mut touched: Vec<PointId> = Vec::new();
-        {
-            let points = &self.points;
-            self.grid
-                .visit_neighbor_cells(cell, NeighborScope::Eps, |_, c| {
-                    if c.count() >= min_pts {
-                        return; // dense: all residents already core
-                    }
-                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
-                        if q != id && dist_sq(qp, &p) <= eps_sq && !points.is_core(q) {
-                            touched.push(q);
-                        }
-                    }
-                });
-        }
-        for q in touched {
-            let rec = self.points.get_mut(q);
-            rec.vincnt += 1;
-            if rec.vincnt as usize >= min_pts {
-                promotions.push(q);
-            }
-        }
-
-        // --- Promotions + GUM (Section 5) ---
-        for &q in &promotions {
-            self.on_became_core(q);
-        }
-        promotions.clear();
-        self.promo_scratch = promotions;
-        id
-    }
-
-    /// Inserts a batch of points, amortizing the per-cell work: the batch
-    /// is grouped by target cell, every touched neighbor cell is swept
-    /// once against the batch's coordinate block, and all promotions are
-    /// flushed through GUM in a single pass. The per-cell status phases
-    /// run on the parallel flush pool (see `core::parallel`); results
-    /// are merged in cell-id order, so the final clustering is
-    /// bit-identical at every thread count, identical to inserting the
-    /// points one at a time at `rho = 0`, and sandwich-valid at
-    /// `rho > 0`.
-    pub fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        if pts.len() < 2 {
-            return pts.iter().map(|p| self.insert(*p)).collect();
-        }
-        crate::params::validate_points(pts).unwrap_or_else(|e| panic!("{e}"));
-        self.pipeline.begin_flush(pts.len());
-        let batch_start = self.points.capacity_ids() as PointId;
-        let min_pts = self.params.min_pts;
-
-        // Phase 1: place the whole batch cell-major (the pure
-        // coordinate mapping runs on the pool; materialization and
-        // grouping stay sequential; tree maintenance is deferred to
-        // amortized doubling rebuilds inside `CellSet`).
-        let (uf, snap) = (&mut self.uf, &mut self.snap);
-        let (ids, groups) = crate::batch::place_batch(
-            &mut self.pipeline,
-            &mut self.grid,
-            &mut self.points,
-            pts,
-            |c| {
-                uf.ensure(c);
-                snap.mark(c);
-            },
-        );
-
-        // Phase 2 (parallel): statuses of the batch's own points, one
-        // task per target cell (dense cells need no count queries; see
-        // `batch::promote_dense_cell`). Workers only read the grid and
-        // the arena; vicinity counts are written back on this thread.
-        struct GroupOutcome {
-            promotions: Vec<PointId>,
-            vincnts: Vec<(PointId, u32)>,
-            count_queries: u64,
-        }
-        let outcomes = {
-            let (grid, points, params) = (&self.grid, &self.points, &self.params);
-            let (ids, groups) = (&ids, &groups);
-            self.pipeline
-                .run(crate::batch::FlushPhase::Scan, groups.len(), |gi| {
-                    let (cell, members) = &groups[gi];
-                    let mut out = GroupOutcome {
-                        promotions: Vec::new(),
-                        vincnts: Vec::new(),
-                        count_queries: 0,
-                    };
-                    let dense = crate::batch::promote_dense_cell(
-                        grid,
-                        points,
-                        *cell,
-                        members,
-                        ids,
-                        min_pts,
-                        &mut out.promotions,
-                    );
-                    if !dense {
-                        for &k in members {
-                            out.count_queries += 1;
-                            let p = &pts[k as usize];
-                            let kct = grid.count_ball_from(*cell, p, params.eps, params.eps);
-                            out.vincnts.push((ids[k as usize], kct as u32));
-                            if kct >= min_pts {
-                                out.promotions.push(ids[k as usize]);
-                            }
-                        }
-                    }
-                    out
-                })
-        };
-        let mut promotions: Vec<PointId> = Vec::new();
-        for out in outcomes {
-            self.stats.count_queries += out.count_queries;
-            for (id, k) in out.vincnts {
-                self.points.get_mut(id).vincnt = k;
-            }
-            promotions.extend(out.promotions);
-        }
-
-        // Phase 3 (parallel): vicinity counts of pre-existing non-core
-        // points. Each eps-close touched cell is one task: its SoA block
-        // is swept against the arena-backed bucket of batch points that
-        // can reach it.
-        let buckets = crate::batch::neighbor_buckets(
-            &self.grid,
-            &groups,
-            |k| pts[k as usize],
-            NeighborScope::Eps,
-            |c| c.count() < min_pts, // dense: all residents already core
-        );
-        let eps_sq = self.params.eps_sq();
-        let bumped_lists = {
-            let (grid, points, buckets) = (&self.grid, &self.points, &buckets);
-            self.pipeline
-                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
-                    let cell_obj = grid.cell(buckets.cell(bi));
-                    let mut bumped: Vec<(PointId, u32)> = Vec::new();
-                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
-                        if q >= batch_start || points.is_core(q) {
-                            continue; // batch points handled in phase 2
-                        }
-                        let delta = buckets.count_within_sq(bi, qp, eps_sq);
-                        if delta > 0 {
-                            bumped.push((q, delta as u32));
-                        }
-                    }
-                    bumped
-                })
-        };
-        self.pipeline.note_cell_scans(buckets.len());
-        for (q, delta) in bumped_lists.into_iter().flatten() {
-            let rec = self.points.get_mut(q);
-            rec.vincnt += delta;
-            if rec.vincnt as usize >= min_pts {
-                promotions.push(q);
-            }
-        }
-
-        // Phase 4: flush all promotions (GUM + union-find) in one pass —
-        // each cell's core block is extended in one shot, the read-only
-        // emptiness probes of the per-cell GUM rounds run on the pool,
-        // and the edge/union mutations are applied in task order.
-        self.flush_promotions(&promotions);
-        ids
     }
 
     /// Flushes a block of promotions: the shared preamble
@@ -482,6 +196,7 @@ impl<const D: usize> SemiDynDbscan<D> {
         };
         for (found, probes) in outcomes {
             self.stats.emptiness_probes += probes;
+            self.stats.range_queries += probes;
             for key in found {
                 if self.edges.insert(key) {
                     self.uf.ensure(key.0.max(key.1));
@@ -533,6 +248,7 @@ impl<const D: usize> SemiDynDbscan<D> {
                     continue;
                 }
                 self.stats.emptiness_probes += 1;
+                self.stats.range_queries += 1;
                 if self.grid.emptiness(&qp, c).is_some() {
                     self.edges.insert(key);
                     self.uf.ensure(cell.max(c));
@@ -545,63 +261,6 @@ impl<const D: usize> SemiDynDbscan<D> {
         }
         candidates.clear();
         self.cell_scratch = candidates;
-    }
-
-    /// Refreshes (if dirty) and returns the current epoch snapshot: the
-    /// union-find labels are exported without path compression, and only
-    /// the cells updates touched get their anchors re-snapped — fanned
-    /// over the persistent worker pool when enough cells are dirty. Under
-    /// delta tracking, a relabeled cell's `eps`-scope residents are the
-    /// points that may anchor to it.
-    fn refresh(&self) -> Arc<ClusterSnapshot> {
-        // Field borrows (not `&self`) so the closure's captures are the
-        // plain-data structures the workers actually read.
-        let grid = &self.grid;
-        let points = &self.points;
-        self.snap.read_with(
-            self.points.capacity_ids(),
-            || self.uf.export_labels(),
-            |cell, emit| {
-                let cell_obj = grid.cell(cell);
-                for (slot, &pid) in cell_obj.all.items().iter().enumerate() {
-                    if points.is_core(pid) {
-                        emit(pid, true, Anchors::One(cell));
-                    } else {
-                        let qp = cell_obj.all.point(slot as u32);
-                        emit(pid, false, crate::query::non_core_anchors(grid, cell, qp));
-                    }
-                }
-            },
-            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
-            Some(&self.pipeline),
-        )
-    }
-
-    /// The current epoch snapshot — `Arc`-share it with reader threads
-    /// and keep inserting; their answers stay frozen at this epoch.
-    pub fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        self.refresh()
-    }
-
-    /// Answers a C-group-by query over `q` in `O~(|Q|)` time (plus a
-    /// dirty-amortized snapshot refresh if updates preceded it). Panics
-    /// on dead ids; see [`try_group_by`](Self::try_group_by).
-    pub fn group_by(&self, q: &[PointId]) -> GroupBy {
-        self.refresh().group_by(q)
-    }
-
-    /// Fallible [`group_by`](Self::group_by): dead/unknown ids return
-    /// [`QueryError::DeadPoint`] naming the id instead of panicking.
-    pub fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        self.refresh().try_group_by(q)
-    }
-
-    /// The full clustering (`Q = P`), fanned across the persistent
-    /// worker pool in id-range chunks — bit-identical to the sequential
-    /// scan at every thread count.
-    pub fn group_all(&self) -> Clustering {
-        let snap = self.refresh();
-        crate::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
     }
 
     /// The pre-snapshot query walk (union-find `CC-Id` lookups, with
@@ -618,11 +277,6 @@ impl<const D: usize> SemiDynDbscan<D> {
     pub fn direct_group_all(&mut self) -> Clustering {
         let ids: Vec<PointId> = self.points.iter_alive().map(|(i, _)| i).collect();
         self.direct_group_by(&ids)
-    }
-
-    /// Ids of all alive points (insertion order).
-    pub fn alive_ids(&self) -> Vec<PointId> {
-        self.points.iter_alive().map(|(i, _)| i).collect()
     }
 
     /// Number of core points currently stored.
@@ -650,19 +304,225 @@ impl<const D: usize> SemiDynDbscan<D> {
 
 impl<const D: usize> DynamicClusterer<D> for SemiDynDbscan<D> {
     fn params(&self) -> &Params {
-        SemiDynDbscan::params(self)
+        &self.params
     }
 
     fn len(&self) -> usize {
-        SemiDynDbscan::len(self)
+        self.points.len()
     }
 
     fn supports_deletion(&self) -> bool {
         false
     }
 
+    /// Amortized `O~(1)` (Theorem 1).
     fn insert(&mut self, p: Point<D>) -> PointId {
-        SemiDynDbscan::insert(self, p)
+        crate::params::validate_point(&p, 0, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        let id = self.points.push(0, 0);
+        let (cell, slot) = self.grid.insert_point(&p, id);
+        {
+            let rec = self.points.get_mut(id);
+            rec.cell = cell;
+            rec.slot = slot;
+        }
+        self.uf.ensure(cell);
+        self.snap.mark(cell);
+
+        let count = self.grid.cell(cell).count();
+        let min_pts = self.params.min_pts;
+        let mut promotions = std::mem::take(&mut self.promo_scratch);
+        promotions.clear();
+
+        // --- Core status of the new point (Section 5, steps 1-2) ---
+        if count >= min_pts {
+            // Dense cell: core outright (cell diameter is eps).
+            promotions.push(id);
+            if count == min_pts {
+                // The cell *became* dense: every resident becomes core.
+                let points = &self.points;
+                for &q in self.grid.cell(cell).all.items() {
+                    if q != id && !points.is_core(q) {
+                        promotions.push(q);
+                    }
+                }
+            }
+        } else {
+            self.stats.range_queries += 1;
+            let k = self.grid.count_ball_exact(&p);
+            self.points.get_mut(id).vincnt = k as u32;
+            if k >= min_pts {
+                promotions.push(id);
+            }
+        }
+
+        // --- Vicinity-count maintenance for neighbors (Section 5) ---
+        // The new point may raise vincnt of non-core points in eps-close
+        // *sparse* cells (non-core points live only in sparse cells). One
+        // neighbor visitation sweeps each cell's SoA block.
+        let eps_sq = self.params.eps_sq();
+        let mut touched: Vec<PointId> = Vec::new();
+        {
+            let points = &self.points;
+            self.grid
+                .visit_neighbor_cells(cell, NeighborScope::Eps, |_, c| {
+                    if c.count() >= min_pts {
+                        return; // dense: all residents already core
+                    }
+                    for (qp, &q) in c.all.points().iter().zip(c.all.items()) {
+                        if q != id && dist_sq(qp, &p) <= eps_sq && !points.is_core(q) {
+                            touched.push(q);
+                        }
+                    }
+                });
+        }
+        for q in touched {
+            let rec = self.points.get_mut(q);
+            rec.vincnt += 1;
+            if rec.vincnt as usize >= min_pts {
+                promotions.push(q);
+            }
+        }
+
+        // --- Promotions + GUM (Section 5) ---
+        for &q in &promotions {
+            self.on_became_core(q);
+        }
+        promotions.clear();
+        self.promo_scratch = promotions;
+        id
+    }
+
+    /// Inserts a batch of points, amortizing the per-cell work: the batch
+    /// is grouped by target cell, every touched neighbor cell is swept
+    /// once against the batch's coordinate block, and all promotions are
+    /// flushed through GUM in a single pass. The per-cell status phases
+    /// run on the parallel flush pool (see `core::parallel`); results
+    /// are merged in cell-id order, so the final clustering is
+    /// bit-identical at every thread count, identical to inserting the
+    /// points one at a time at `rho = 0`, and sandwich-valid at
+    /// `rho > 0`.
+    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
+        if pts.len() < 2 {
+            return pts.iter().map(|p| self.insert(*p)).collect();
+        }
+        crate::params::validate_points(pts, &self.params).unwrap_or_else(|e| panic!("{e}"));
+        self.pipeline.begin_flush(pts.len());
+        let batch_start = self.points.capacity_ids() as PointId;
+        let min_pts = self.params.min_pts;
+
+        // Phase 1: place the whole batch cell-major (the pure
+        // coordinate mapping runs on the pool; materialization and
+        // grouping stay sequential; tree maintenance is deferred to
+        // amortized doubling rebuilds inside `CellSet`).
+        let (uf, snap) = (&mut self.uf, &mut self.snap);
+        let (ids, groups) = crate::batch::place_batch(
+            &mut self.pipeline,
+            &mut self.grid,
+            &mut self.points,
+            pts,
+            |c| {
+                uf.ensure(c);
+                snap.mark(c);
+            },
+        );
+
+        // Phase 2 (parallel): statuses of the batch's own points, one
+        // task per target cell (dense cells need no count queries; see
+        // `batch::promote_dense_cell`). Workers only read the grid and
+        // the arena; vicinity counts are written back on this thread.
+        struct GroupOutcome {
+            promotions: Vec<PointId>,
+            vincnts: Vec<(PointId, u32)>,
+            count_queries: u64,
+        }
+        let outcomes = {
+            let (grid, points, params) = (&self.grid, &self.points, &self.params);
+            let (ids, groups) = (&ids, &groups);
+            self.pipeline
+                .run(crate::batch::FlushPhase::Scan, groups.len(), |gi| {
+                    let (cell, members) = &groups[gi];
+                    let mut out = GroupOutcome {
+                        promotions: Vec::new(),
+                        vincnts: Vec::new(),
+                        count_queries: 0,
+                    };
+                    let dense = crate::batch::promote_dense_cell(
+                        grid,
+                        points,
+                        *cell,
+                        members,
+                        ids,
+                        min_pts,
+                        &mut out.promotions,
+                    );
+                    if !dense {
+                        for &k in members {
+                            out.count_queries += 1;
+                            let p = &pts[k as usize];
+                            let kct = grid.count_ball_from(*cell, p, params.eps, params.eps);
+                            out.vincnts.push((ids[k as usize], kct as u32));
+                            if kct >= min_pts {
+                                out.promotions.push(ids[k as usize]);
+                            }
+                        }
+                    }
+                    out
+                })
+        };
+        let mut promotions: Vec<PointId> = Vec::new();
+        for out in outcomes {
+            self.stats.range_queries += out.count_queries;
+            for (id, k) in out.vincnts {
+                self.points.get_mut(id).vincnt = k;
+            }
+            promotions.extend(out.promotions);
+        }
+
+        // Phase 3 (parallel): vicinity counts of pre-existing non-core
+        // points. Each eps-close touched cell is one task: its SoA block
+        // is swept against the arena-backed bucket of batch points that
+        // can reach it.
+        let buckets = crate::batch::neighbor_buckets(
+            &self.grid,
+            &groups,
+            |k| pts[k as usize],
+            NeighborScope::Eps,
+            |c| c.count() < min_pts, // dense: all residents already core
+        );
+        let eps_sq = self.params.eps_sq();
+        let bumped_lists = {
+            let (grid, points, buckets) = (&self.grid, &self.points, &buckets);
+            self.pipeline
+                .run(crate::batch::FlushPhase::Scan, buckets.len(), |bi| {
+                    let cell_obj = grid.cell(buckets.cell(bi));
+                    let mut bumped: Vec<(PointId, u32)> = Vec::new();
+                    for (qp, &q) in cell_obj.all.points().iter().zip(cell_obj.all.items()) {
+                        if q >= batch_start || points.is_core(q) {
+                            continue; // batch points handled in phase 2
+                        }
+                        let delta = buckets.count_within_sq(bi, qp, eps_sq);
+                        if delta > 0 {
+                            bumped.push((q, delta as u32));
+                        }
+                    }
+                    bumped
+                })
+        };
+        self.pipeline.note_cell_scans(buckets.len());
+        for (q, delta) in bumped_lists.into_iter().flatten() {
+            let rec = self.points.get_mut(q);
+            rec.vincnt += delta;
+            if rec.vincnt as usize >= min_pts {
+                promotions.push(q);
+            }
+        }
+
+        // Phase 4: flush all promotions (GUM + union-find) in one pass —
+        // each cell's core block is extended in one shot, the read-only
+        // emptiness probes of the per-cell GUM rounds run on the pool,
+        // and the edge/union mutations are applied in task order.
+        self.flush_promotions(&promotions);
+        ids
     }
 
     fn delete(&mut self, _id: PointId) {
@@ -670,19 +530,46 @@ impl<const D: usize> DynamicClusterer<D> for SemiDynDbscan<D> {
     }
 
     fn is_core(&self, id: PointId) -> bool {
-        SemiDynDbscan::is_core(self, id)
+        self.points.is_core(id)
     }
 
     fn coords(&self, id: PointId) -> Point<D> {
-        SemiDynDbscan::coords(self, id)
+        let r = self.points.get(id);
+        *self.grid.cell(r.cell).all.point(r.slot)
     }
 
     fn alive_ids(&self) -> Vec<PointId> {
-        SemiDynDbscan::alive_ids(self)
+        self.points.iter_alive().map(|(i, _)| i).collect()
     }
 
+    /// Refreshes (if dirty) and returns the current epoch snapshot: the
+    /// union-find labels are exported without path compression, and only
+    /// the cells updates touched get their anchors re-snapped — fanned
+    /// over the persistent worker pool when enough cells are dirty. Under
+    /// delta tracking, a relabeled cell's `eps`-scope residents are the
+    /// points that may anchor to it.
     fn snapshot(&self) -> Arc<ClusterSnapshot> {
-        SemiDynDbscan::snapshot(self)
+        // Field borrows (not `&self`) so the closure's captures are the
+        // plain-data structures the workers actually read.
+        let grid = &self.grid;
+        let points = &self.points;
+        self.snap.read_with(
+            self.points.capacity_ids(),
+            || self.uf.export_labels(),
+            |cell, emit| {
+                let cell_obj = grid.cell(cell);
+                for (slot, &pid) in cell_obj.all.items().iter().enumerate() {
+                    if points.is_core(pid) {
+                        emit(pid, true, Anchors::One(cell));
+                    } else {
+                        let qp = cell_obj.all.point(slot as u32);
+                        emit(pid, false, crate::query::non_core_anchors(grid, cell, qp));
+                    }
+                }
+            },
+            |cells, emit| crate::snapshot::eps_scope_residents(grid, cells, emit),
+            Some(&self.pipeline),
+        )
     }
 
     fn epoch_handle(&self) -> EpochHandle {
@@ -693,31 +580,53 @@ impl<const D: usize> DynamicClusterer<D> for SemiDynDbscan<D> {
         self.snap.set_track_deltas(on);
     }
 
-    fn group_by(&self, q: &[PointId]) -> GroupBy {
-        SemiDynDbscan::group_by(self, q)
-    }
-
-    fn try_group_by(&self, q: &[PointId]) -> Result<GroupBy, QueryError> {
-        SemiDynDbscan::try_group_by(self, q)
-    }
-
     fn group_all(&self) -> Clustering {
-        SemiDynDbscan::group_all(self)
+        let snap = self.snapshot();
+        crate::snapshot::group_all_pooled(&snap, &self.snap, &self.pipeline)
     }
 
-    fn insert_batch(&mut self, pts: &[Point<D>]) -> Vec<PointId> {
-        SemiDynDbscan::insert_batch(self, pts)
-    }
-
+    /// `range_queries` counts exact vicinity counts plus GUM emptiness
+    /// probes (the latter also in `emptiness_probes`); `edge_inserts` is
+    /// the materialized grid-graph edge count. Deletion-side counters
+    /// stay `0` in this insertion-only regime.
     fn stats(&self) -> ClustererStats {
         ClustererStats {
-            range_queries: self.stats.count_queries + self.stats.emptiness_probes,
-            promotions: self.stats.promotions,
             edge_inserts: self.edges.len() as u64,
-            ..ClustererStats::default()
+            ..self.stats
         }
         .with_flush(self.pipeline.stats())
         .with_snapshot(&self.snap)
+    }
+}
+
+// `ShardedDbscan` drives shard engines through these: grid/arena reads
+// for the composed snapshot export, the snapshot mark log, and the
+// grid-graph edge log. The engine itself stays shard-oblivious.
+impl<const D: usize> ShardEngine<D> for SemiDynDbscan<D> {
+    fn shard_grid(&self) -> &GridIndex<D> {
+        &self.grid
+    }
+
+    fn shard_points(&self) -> &PointArena {
+        &self.points
+    }
+
+    fn enable_shard_taps(&mut self) {
+        self.edge_log = Some(Vec::new());
+        self.snap.set_mark_log(true);
+    }
+
+    fn drain_shard_taps(&mut self) -> ShardTaps {
+        let edges = self
+            .edge_log
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default();
+        ShardTaps {
+            marks: self.snap.take_mark_log(),
+            // The semi-dynamic grid graph only grows.
+            edges: edges.into_iter().map(|(a, b)| (a, b, true)).collect(),
+        }
     }
 }
 

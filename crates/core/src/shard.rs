@@ -74,9 +74,10 @@ pub struct ShardTaps {
 /// the composed snapshot export, plus the flush taps.
 ///
 /// This is an internal extension point of the crate — implemented for
-/// [`SemiDynDbscan`] and [`FullDynDbscan`]; downstream code only needs
-/// it as a bound. `Sync`, because the composed snapshot refresh reads
-/// the shards' grids and arenas from pool workers.
+/// [`SemiDynDbscan`] and [`FullDynDbscan`] beside their fields;
+/// downstream code only needs it as a bound. `Sync`, because the
+/// composed snapshot refresh reads the shards' grids and arenas from
+/// pool workers.
 pub trait ShardEngine<const D: usize>: DynamicClusterer<D> + Send + Sync {
     /// The shard's grid (read-only; cell ids are shard-local).
     fn shard_grid(&self) -> &GridIndex<D>;
@@ -86,55 +87,6 @@ pub trait ShardEngine<const D: usize>: DynamicClusterer<D> + Send + Sync {
     fn enable_shard_taps(&mut self);
     /// Drains everything the taps captured since the last drain.
     fn drain_shard_taps(&mut self) -> ShardTaps;
-}
-
-impl<const D: usize> ShardEngine<D> for SemiDynDbscan<D> {
-    fn shard_grid(&self) -> &GridIndex<D> {
-        SemiDynDbscan::shard_grid(self)
-    }
-
-    fn shard_points(&self) -> &PointArena {
-        SemiDynDbscan::shard_points(self)
-    }
-
-    fn enable_shard_taps(&mut self) {
-        self.set_edge_log(true);
-        self.shard_snap_mut().set_mark_log(true);
-    }
-
-    fn drain_shard_taps(&mut self) -> ShardTaps {
-        ShardTaps {
-            marks: self.shard_snap_mut().take_mark_log(),
-            // The semi-dynamic grid graph only grows.
-            edges: self
-                .take_edge_log()
-                .into_iter()
-                .map(|(a, b)| (a, b, true))
-                .collect(),
-        }
-    }
-}
-
-impl<const D: usize, C: DynConnectivity + Send + Sync> ShardEngine<D> for FullDynDbscan<D, C> {
-    fn shard_grid(&self) -> &GridIndex<D> {
-        FullDynDbscan::shard_grid(self)
-    }
-
-    fn shard_points(&self) -> &PointArena {
-        FullDynDbscan::shard_points(self)
-    }
-
-    fn enable_shard_taps(&mut self) {
-        self.set_edge_log(true);
-        self.shard_snap_mut().set_mark_log(true);
-    }
-
-    fn drain_shard_taps(&mut self) -> ShardTaps {
-        ShardTaps {
-            marks: self.shard_snap_mut().take_mark_log(),
-            edges: self.take_edge_log(),
-        }
-    }
 }
 
 /// The static cell-space partition: axis-0 slabs dealt round-robin.
@@ -311,12 +263,6 @@ impl<const D: usize, E: ShardEngine<D>> ShardedDbscan<D, E> {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.map.shards as usize
-    }
-
-    /// The shared flush-pipeline counters of the wrapper (the per-shard
-    /// pipelines run single-threaded and keep their own counters).
-    pub fn flush_stats(&self) -> crate::batch::FlushStats {
-        self.pipeline.stats()
     }
 
     fn owner_replica(&self, id: PointId) -> (usize, PointId) {
@@ -569,6 +515,12 @@ impl<const D: usize, E: ShardEngine<D>> DynamicClusterer<D> for ShardedDbscan<D,
             st.edge_inserts += es.edge_inserts;
             st.edge_removes += es.edge_removes;
             st.splits += es.splits;
+            st.emptiness_probes += es.emptiness_probes;
+            st.instances_created += es.instances_created;
+            st.instances_destroyed += es.instances_destroyed;
+            st.points_touched += es.points_touched;
+            st.bfs_expansions += es.bfs_expansions;
+            st.label_merges += es.label_merges;
         }
         st.with_flush(self.pipeline.stats())
             .with_snapshot(&self.snap)
@@ -578,7 +530,7 @@ impl<const D: usize, E: ShardEngine<D>> DynamicClusterer<D> for ShardedDbscan<D,
         if pts.is_empty() {
             return Vec::new();
         }
-        validate_points(pts).unwrap_or_else(|e| panic!("{e}"));
+        validate_points(pts, &self.params).unwrap_or_else(|e| panic!("{e}"));
         let base = self.next_id;
         self.next_id += pts.len() as u32;
         self.alive += pts.len();

@@ -20,6 +20,7 @@
 //! approximation escapes the lower bound while keeping the sandwich
 //! guarantee. The `usec_reduction` example demonstrates both sides.
 
+use crate::api::DynamicClusterer;
 use crate::full::FullDynDbscan;
 use crate::params::Params;
 use dydbscan_geom::{dist_sq, Point};

@@ -8,8 +8,9 @@
 //! Cell coordinates are integers obtained by flooring each point coordinate
 //! divided by the side length. `i32` is ample: the paper's data space is
 //! `[0, 10^5]^d` and side lengths are tens of units, but even pathological
-//! inputs fit as long as `|x| / side < 2^31` (enforced with a debug
-//! assertion; release builds saturate).
+//! inputs fit as long as `|x| / side < 2^31` (a debug assertion here;
+//! `dydbscan_core::validate_point` rejects rows at `2^30` cell sides
+//! before they reach the grid, since release builds saturate).
 
 use crate::aabb::Aabb;
 use crate::point::Point;

@@ -20,7 +20,7 @@
 //!   per-element `return` defeats vectorization outright. Those kernels
 //!   restructure the sweep into [`LANES`]-wide chunks: accumulate all
 //!   eight squared distances dimension-major with no branches
-//!   ([`lane_dist_sq`]), fold the lane compares into one chunk-level hit
+//!   (`lane_dist_sq`), fold the lane compares into one chunk-level hit
 //!   flag, and only branch per chunk. Measured on miss-heavy probes
 //!   (the common case — most cell pairs are *not* within range) the
 //!   chunked probe runs 1.2–1.5x the scalar sweep at baseline flags and
@@ -32,7 +32,7 @@
 //! # Bit-identical results
 //!
 //! The lane accumulation performs, per point, *exactly* the floating-
-//! point operations of [`dist_sq`](crate::point::dist_sq) in the same
+//! point operations of [`dist_sq`] in the same
 //! order: `acc += (a[i] - b[i]) * (a[i] - b[i])` with `i` ascending,
 //! plain multiply-then-add (never `mul_add`: a fused multiply-add
 //! rounds once where the scalar path rounds twice, which would split

@@ -12,7 +12,7 @@
 //! distributions of a grid, most of the eight passes collapse away.
 //!
 //! Small inputs fall back to a stable insertion sort: below
-//! [`RADIX_MIN`] elements the histogram setup costs more than it saves.
+//! `RADIX_MIN` elements the histogram setup costs more than it saves.
 //! Every entry point is differentially tested against the standard
 //! library's comparison sorts on random, duplicate-heavy,
 //! already-sorted, and negative-coordinate inputs.

@@ -132,9 +132,7 @@ impl Server {
         // one fully-dynamic engine or a sharded front-end over several —
         // is a boxed runtime choice.
         let mut engine: Box<dyn DynamicClusterer<2> + Send> = if cfg.shards > 1 {
-            let mut c = ShardedDbscan::<2, FullDynDbscan<2>>::new_with(params, cfg.shards, |p| {
-                FullDynDbscan::new(*p).with_threads(1)
-            });
+            let mut c = ShardedDbscan::<2, FullDynDbscan<2>>::new_full(params, cfg.shards);
             if cfg.threads > 0 {
                 c = c.with_threads(cfg.threads);
             }
@@ -241,7 +239,17 @@ fn ingest_loop(
     while let Ok(cmd) = rx.recv() {
         match cmd {
             IngestCmd::Insert(rows, reply) => {
-                let ids = engine.insert_batch(&rows);
+                // Rows the engine cannot represent (finite but too large
+                // for a grid cell) are a data error: reply with it
+                // instead of letting the engine's panic take the ingest
+                // thread down.
+                let ids = match engine.try_insert_batch(&rows) {
+                    Ok(ids) => ids,
+                    Err(e) => {
+                        let _ = reply.send(Err(e.to_string()));
+                        continue;
+                    }
+                };
                 alive.extend(ids.iter().copied());
                 // Publish before acknowledging: the client that owns
                 // these ids can query them through any handle the

@@ -70,7 +70,7 @@ pub enum ConnectivityBackend {
     /// regime only).
     Hdt,
     /// Rebuild-from-scratch oracle (differential testing / ablations;
-    /// fully-dynamic regime only).
+    /// fully-dynamic regime only, unsharded).
     Naive,
 }
 
@@ -196,14 +196,16 @@ impl DbscanBuilder {
     }
 
     /// Shards the cell space `S` ways for multi-writer ingest (grid
-    /// algorithms only; `0` is treated as `1`): each shard owns a full
-    /// engine over an axis-0 slab of the cell space, batches are routed
-    /// by owning shard and flushed concurrently on the wrapper's worker
-    /// pool, and a stitch connectivity composes the shard-local
-    /// clusters into globally correct ids. The clustering is
-    /// bit-identical to the unsharded engine at every shard count —
-    /// shards only buy ingest throughput. Combine with
-    /// [`threads`](Self::threads) to size the wrapper's flush pool.
+    /// algorithms only): each shard owns a full engine over an axis-0
+    /// slab of the cell space, batches are routed by owning shard and
+    /// flushed concurrently on the wrapper's worker pool, and a stitch
+    /// connectivity composes the shard-local clusters into globally
+    /// correct ids. The clustering is bit-identical to the unsharded
+    /// engine at every shard count — shards only buy ingest throughput.
+    /// `0` and `1` build the raw engine (a one-shard wrapper only adds
+    /// overhead), and [`ConnectivityBackend::Naive`] is rejected at
+    /// `S >= 2`. Combine with [`threads`](Self::threads) to size the
+    /// wrapper's flush pool.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards.max(1));
         self
@@ -240,146 +242,89 @@ impl DbscanBuilder {
 
     /// Validates the algorithm/backend combination (parameters aside).
     fn check_combination(&self) -> Result<(), BuildError> {
-        match self.algorithm {
-            Algorithm::SemiDynamic => {
-                if !matches!(
-                    self.connectivity,
-                    ConnectivityBackend::Auto | ConnectivityBackend::UnionFind
-                ) {
-                    return Err(BuildError::UnsupportedConnectivity(
-                        self.algorithm,
-                        self.connectivity,
-                    ));
-                }
-            }
+        use ConnectivityBackend as C;
+        let (algo, conn) = (self.algorithm, self.connectivity);
+        if algo == Algorithm::IncDbscan && self.rho != 0.0 {
+            return Err(BuildError::UnsupportedRho(algo, self.rho));
+        }
+        // Shard engines only write their own connectivity (the stitch
+        // structure answers every label), so a sharded Naive backend
+        // would never consult the oracle it names.
+        let sharded = self.shards.is_some_and(|s| s > 1);
+        let fits = match algo {
+            Algorithm::SemiDynamic => matches!(conn, C::Auto | C::UnionFind),
             Algorithm::FullyDynamic => {
-                if self.connectivity == ConnectivityBackend::UnionFind {
-                    return Err(BuildError::UnsupportedConnectivity(
-                        self.algorithm,
-                        self.connectivity,
-                    ));
-                }
+                matches!(conn, C::Auto | C::Hdt) || conn == C::Naive && !sharded
             }
-            Algorithm::IncDbscan => {
-                if self.rho != 0.0 {
-                    return Err(BuildError::UnsupportedRho(self.algorithm, self.rho));
-                }
-                if self.connectivity != ConnectivityBackend::Auto {
-                    return Err(BuildError::UnsupportedConnectivity(
-                        self.algorithm,
-                        self.connectivity,
-                    ));
-                }
-            }
+            Algorithm::IncDbscan => conn == C::Auto,
+        };
+        if !fits {
+            return Err(BuildError::UnsupportedConnectivity(algo, conn));
         }
-        if self.index != IndexBackend::Auto && self.algorithm != Algorithm::IncDbscan {
-            return Err(BuildError::UnsupportedIndex(self.algorithm, self.index));
+        if self.index != IndexBackend::Auto && algo != Algorithm::IncDbscan {
+            return Err(BuildError::UnsupportedIndex(algo, self.index));
         }
-        if let Some(s) = self.shards {
-            if self.algorithm == Algorithm::IncDbscan {
-                return Err(BuildError::UnsupportedShards(self.algorithm, s));
-            }
+        match self.shards {
+            Some(s) if algo == Algorithm::IncDbscan => Err(BuildError::UnsupportedShards(algo, s)),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Instantiates the configured engine at compile-time dimension `D`.
     pub fn build<const D: usize>(&self) -> Result<Box<dyn DynamicClusterer<D>>, BuildError> {
+        use Algorithm as A;
+        use ConnectivityBackend as C;
+        use IndexBackend as I;
         let params = self.params()?;
         self.check_combination()?;
-        // Matches are exhaustive (no `_` on the backend enums) so that a
-        // new backend variant fails to compile here until it is wired up,
-        // rather than silently falling back to the default engine.
-        Ok(match self.algorithm {
-            Algorithm::SemiDynamic => match self.shards {
-                Some(s) => {
-                    // Per-shard engines flush single-threaded: the
-                    // wrapper's pool supplies the parallelism, one task
-                    // per busy shard, without nesting worker pools.
-                    let mut c = ShardedDbscan::<D, SemiDynDbscan<D>>::new_with(params, s, |p| {
-                        SemiDynDbscan::new(*p).with_threads(1)
-                    });
-                    if let Some(t) = self.threads {
-                        c = c.with_threads(t);
-                    }
-                    Box::new(c)
-                }
-                None => {
-                    let mut c = SemiDynDbscan::<D>::new(params);
-                    if let Some(t) = self.threads {
-                        c = c.with_threads(t);
-                    }
-                    Box::new(c)
-                }
-            },
-            Algorithm::FullyDynamic => match self.connectivity {
-                ConnectivityBackend::Auto | ConnectivityBackend::Hdt => match self.shards {
-                    Some(s) => {
-                        let mut c =
-                            ShardedDbscan::<D, FullDynDbscan<D>>::new_with(params, s, |p| {
-                                FullDynDbscan::new(*p).with_threads(1)
-                            });
-                        if let Some(t) = self.threads {
-                            c = c.with_threads(t);
-                        }
-                        Box::new(c)
-                    }
-                    None => {
-                        let mut c = FullDynDbscan::<D>::new(params);
-                        if let Some(t) = self.threads {
-                            c = c.with_threads(t);
-                        }
-                        Box::new(c)
-                    }
-                },
-                ConnectivityBackend::Naive => match self.shards {
-                    Some(s) => {
-                        let mut c =
-                            ShardedDbscan::<D, FullDynDbscan<D, NaiveConnectivity>>::new_with(
-                                params,
-                                s,
-                                |p| {
-                                    FullDynDbscan::with_connectivity(*p, NaiveConnectivity::new())
-                                        .with_threads(1)
-                                },
-                            );
-                        if let Some(t) = self.threads {
-                            c = c.with_threads(t);
-                        }
-                        Box::new(c)
-                    }
-                    None => {
-                        let mut c = FullDynDbscan::<D, _>::with_connectivity(
-                            params,
-                            NaiveConnectivity::new(),
-                        );
-                        if let Some(t) = self.threads {
-                            c = c.with_threads(t);
-                        }
-                        Box::new(c)
-                    }
-                },
-                ConnectivityBackend::UnionFind => {
-                    unreachable!("rejected by check_combination")
-                }
-            },
-            Algorithm::IncDbscan => match self.index {
-                IndexBackend::Auto | IndexBackend::RTree => {
-                    let mut c = IncDbscan::<D>::new(params);
-                    if let Some(t) = self.threads {
-                        c = c.with_threads(t);
-                    }
-                    Box::new(c)
-                }
-                IndexBackend::Grid => {
-                    let mut c = IncDbscan::<D, GridRangeIndex<D>>::new_grid(params);
-                    if let Some(t) = self.threads {
-                        c = c.with_threads(t);
-                    }
-                    Box::new(c)
-                }
-            },
-        })
+        // The thread budget, applied in one place: every arm below is one
+        // constructor expression, and each engine (or the sharded
+        // wrapper's pool) takes the budget through its `with_threads`.
+        let threads = self.threads;
+        macro_rules! engine {
+            ($c:expr) => {{
+                let c = $c;
+                Ok(Box::new(match threads {
+                    Some(t) => c.with_threads(t),
+                    None => c,
+                }))
+            }};
+        }
+        // `.shards(1)` builds the raw engine: a one-shard wrapper only
+        // adds routing and stitch overhead.
+        let shards = self.shards.filter(|&s| s > 1);
+        // Exhaustive (no `_` arm, no `_` on the backend enums) so that a
+        // new variant fails to compile here until it is wired up, rather
+        // than silently falling back to the default engine.
+        match (self.algorithm, self.connectivity, self.index, shards) {
+            (A::SemiDynamic, C::Auto | C::UnionFind, I::Auto, None) => {
+                engine!(SemiDynDbscan::<D>::new(params))
+            }
+            (A::SemiDynamic, C::Auto | C::UnionFind, I::Auto, Some(s)) => {
+                engine!(ShardedDbscan::<D>::new_semi(params, s))
+            }
+            (A::FullyDynamic, C::Auto | C::Hdt, I::Auto, None) => {
+                engine!(FullDynDbscan::<D>::new(params))
+            }
+            (A::FullyDynamic, C::Auto | C::Hdt, I::Auto, Some(s)) => {
+                engine!(ShardedDbscan::<D, FullDynDbscan<D>>::new_full(params, s))
+            }
+            (A::FullyDynamic, C::Naive, I::Auto, None) => engine!(
+                FullDynDbscan::<D, _>::with_connectivity(params, NaiveConnectivity::new())
+            ),
+            (A::IncDbscan, C::Auto, I::Auto | I::RTree, None) => {
+                engine!(IncDbscan::<D>::new(params))
+            }
+            (A::IncDbscan, C::Auto, I::Grid, None) => {
+                engine!(IncDbscan::<D, GridRangeIndex<D>>::new_grid(params))
+            }
+            (A::SemiDynamic, C::Hdt | C::Naive, ..)
+            | (A::FullyDynamic, C::UnionFind, ..)
+            | (A::FullyDynamic, C::Naive, _, Some(_))
+            | (A::SemiDynamic | A::FullyDynamic, _, I::RTree | I::Grid, _)
+            | (A::IncDbscan, C::UnionFind | C::Hdt | C::Naive, ..)
+            | (A::IncDbscan, _, _, Some(_)) => unreachable!("rejected by check_combination"),
+        }
     }
 
     /// Instantiates the configured engine at a **runtime** dimension
@@ -475,15 +420,6 @@ mod tests {
                 assert!(g.is_noise(ids[2]));
             }
         }
-        // Sharded Naive connectivity (differential-oracle configuration).
-        let mut c = DbscanBuilder::new(1.0, 2)
-            .connectivity(ConnectivityBackend::Naive)
-            .shards(2)
-            .build::<2>()
-            .unwrap();
-        let id = c.insert([0.0, 0.0]);
-        c.delete(id);
-        assert!(c.is_empty());
     }
 
     #[test]
@@ -531,6 +467,27 @@ mod tests {
                 .build::<2>(),
             Err(BuildError::UnsupportedShards(Algorithm::IncDbscan, 4))
         ));
+        // Sharded Naive connectivity: shard engines never consult their
+        // own connectivity for labels, so the oracle would be unused.
+        assert!(matches!(
+            DbscanBuilder::new(1.0, 2)
+                .connectivity(ConnectivityBackend::Naive)
+                .shards(2)
+                .build::<2>(),
+            Err(BuildError::UnsupportedConnectivity(
+                Algorithm::FullyDynamic,
+                ConnectivityBackend::Naive
+            ))
+        ));
+        // ...while one shard is the raw engine, where Naive is the oracle.
+        let mut c = DbscanBuilder::new(1.0, 2)
+            .connectivity(ConnectivityBackend::Naive)
+            .shards(1)
+            .build::<2>()
+            .unwrap();
+        let id = c.insert([0.0, 0.0]);
+        c.delete(id);
+        assert!(c.is_empty());
         // errors display without panicking
         let e = DbscanBuilder::new(1.0, 0).check().unwrap_err();
         assert!(e.to_string().contains("MinPts"));

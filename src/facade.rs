@@ -124,68 +124,41 @@ impl DynDbscan {
     }
 
     /// Inserts one row; returns its id. Panics unless
-    /// `row.len() == self.dim()`, and on NaN/infinite coordinates (use
-    /// [`try_insert`](DynDbscan::try_insert) for untrusted data).
+    /// `row.len() == self.dim()`, and on NaN/infinite or unrepresentable
+    /// coordinates (use [`try_insert`](DynDbscan::try_insert) for
+    /// untrusted data).
     pub fn insert(&mut self, row: &[f64]) -> PointId {
         self.check_row(row);
         dispatch!(&mut self.inner, c => c.insert(row.try_into().expect("checked length")))
     }
 
-    /// Fallible [`insert`](DynDbscan::insert): a row carrying a NaN or
-    /// infinite coordinate is rejected with
-    /// [`ParamError::InvalidPoint`] (`id = 0`, `axis` = offending
-    /// coordinate) instead of panicking. Length mismatches still panic —
-    /// they are caller bugs, not data problems.
+    /// Fallible [`insert`](DynDbscan::insert), forwarding to
+    /// [`DynamicClusterer::try_insert`]: a row carrying a NaN/infinite
+    /// or unrepresentable coordinate is rejected with
+    /// [`ParamError::InvalidPoint`] / [`ParamError::Unrepresentable`]
+    /// (`id = 0`, `axis` = offending coordinate) instead of panicking.
+    /// Length mismatches still panic — they are caller bugs, not data
+    /// problems.
     pub fn try_insert(&mut self, row: &[f64]) -> Result<PointId, ParamError> {
         self.check_row(row);
-        if let Some(axis) = row.iter().position(|c| !c.is_finite()) {
-            return Err(ParamError::InvalidPoint { id: 0, axis });
-        }
-        Ok(self.insert(row))
+        dispatch!(&mut self.inner, c => c.try_insert(row.try_into().expect("checked length")))
     }
 
     /// Inserts rows from a flat buffer (`rows.len()` must be a multiple of
     /// [`dim`](DynDbscan::dim)); returns the new ids in order.
     pub fn insert_batch(&mut self, rows: &[f64]) -> Vec<PointId> {
-        assert!(
-            rows.len() % self.dim == 0,
-            "flat buffer of {} values is not a multiple of dimension {}",
-            rows.len(),
-            self.dim
-        );
         // Route through the engine's grouped batch pipeline (cell-major
         // placement, one flush) rather than looping per row.
-        dispatch!(&mut self.inner, c => {
-            let pts: Vec<_> = rows
-                .chunks_exact(self.dim)
-                .map(|row| row.try_into().expect("checked length"))
-                .collect();
-            c.insert_batch(&pts)
-        })
+        dispatch!(&mut self.inner, c => c.insert_batch(&rows_of(rows, self.dim)))
     }
 
-    /// Fallible [`insert_batch`](DynDbscan::insert_batch): the flat
-    /// buffer is validated up front, and the first non-finite value
-    /// rejects the whole call with [`ParamError::InvalidPoint`] naming
-    /// the row and axis — nothing is inserted on error. Ragged buffers
-    /// still panic (caller bug).
+    /// Fallible [`insert_batch`](DynDbscan::insert_batch), forwarding to
+    /// [`DynamicClusterer::try_insert_batch`]: the first NaN/infinite or
+    /// unrepresentable value rejects the whole call naming the row and
+    /// axis — nothing is inserted on error. Ragged buffers still panic
+    /// (caller bug).
     pub fn try_insert_batch(&mut self, rows: &[f64]) -> Result<Vec<PointId>, ParamError> {
-        // Shape first: a ragged buffer is a caller bug and must panic
-        // as documented, not be masked as a data error naming a row
-        // that does not fully exist.
-        assert!(
-            rows.len() % self.dim == 0,
-            "flat buffer of {} values is not a multiple of dimension {}",
-            rows.len(),
-            self.dim
-        );
-        if let Some(i) = rows.iter().position(|c| !c.is_finite()) {
-            return Err(ParamError::InvalidPoint {
-                id: i / self.dim,
-                axis: i % self.dim,
-            });
-        }
-        Ok(self.insert_batch(rows))
+        dispatch!(&mut self.inner, c => c.try_insert_batch(&rows_of(rows, self.dim)))
     }
 
     /// Deletes a point by id. Panics on dead ids and on insertion-only
@@ -262,6 +235,20 @@ impl DynDbscan {
     pub fn stats(&self) -> ClustererStats {
         dispatch!(&self.inner, c => c.stats())
     }
+}
+
+/// Splits a flat buffer into `D`-rows, panicking on a ragged buffer (a
+/// caller bug, never masked as a data error naming a row that does not
+/// fully exist).
+fn rows_of<const D: usize>(rows: &[f64], dim: usize) -> Vec<[f64; D]> {
+    assert!(
+        rows.len() % dim == 0,
+        "flat buffer of {} values is not a multiple of dimension {dim}",
+        rows.len()
+    );
+    rows.chunks_exact(dim)
+        .map(|row| row.try_into().expect("checked length"))
+        .collect()
 }
 
 #[cfg(test)]

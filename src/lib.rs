@@ -56,8 +56,10 @@
 //! ```
 //!
 //! The concrete types ([`FullDynDbscan`], [`SemiDynDbscan`], [`IncDbscan`])
-//! remain available for callers that want compile-time dimensions, custom
-//! connectivity structures, or algorithm-specific statistics.
+//! remain available for callers that want compile-time dimensions or
+//! custom connectivity structures; they speak the same trait (import
+//! [`DynamicClusterer`] to call `insert` or `stats` on them), and every
+//! engine reports one [`ClustererStats`].
 //!
 //! ## Crate map
 //!
@@ -99,10 +101,10 @@ pub use dydbscan_workload as workload;
 pub use builder::{Algorithm, BuildError, ConnectivityBackend, DbscanBuilder, IndexBackend};
 pub use facade::DynDbscan;
 
-pub use dydbscan_baseline::{IncDbscan, IncStats};
+pub use dydbscan_baseline::IncDbscan;
 pub use dydbscan_core::{
     brute_force_exact, check_containment, check_sandwich, relabel, static_cluster, ClusterSnapshot,
-    ClustererStats, Clustering, DynamicClusterer, FlushStats, FullDynDbscan, FullStats, GroupBy,
-    Op, ParamError, Params, PointId, QueryError, SemiDynDbscan, SemiStats, ShardedDbscan,
+    ClustererStats, Clustering, DynamicClusterer, FlushStats, FullDynDbscan, GroupBy, Op,
+    ParamError, Params, PointId, QueryError, SemiDynDbscan, ShardedDbscan,
 };
 pub use dydbscan_workload::{seed_spreader, Workload, WorkloadSpec};

@@ -4,7 +4,9 @@
 
 use dydbscan::core::full::FullDynDbscan;
 use dydbscan::geom::SplitMix64;
-use dydbscan::{brute_force_exact, relabel, IncDbscan, Params, PointId, SemiDynDbscan};
+use dydbscan::{
+    brute_force_exact, relabel, DynamicClusterer, IncDbscan, Params, PointId, SemiDynDbscan,
+};
 
 #[test]
 #[should_panic(expected = "eps must be positive")]

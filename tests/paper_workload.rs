@@ -6,7 +6,8 @@
 
 use dydbscan::core::full::FullDynDbscan;
 use dydbscan::{
-    relabel, static_cluster, IncDbscan, Op, Params, PointId, SemiDynDbscan, WorkloadSpec,
+    relabel, static_cluster, DynamicClusterer, IncDbscan, Op, Params, PointId, SemiDynDbscan,
+    WorkloadSpec,
 };
 
 const EPS: f64 = 200.0; // 100 * d with d = 2

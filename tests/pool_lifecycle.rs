@@ -7,8 +7,8 @@
 
 use dydbscan::geom::{Point, SplitMix64};
 use dydbscan::{
-    seed_spreader, Algorithm, DbscanBuilder, FullDynDbscan, IncDbscan, Params, PointId,
-    SemiDynDbscan,
+    seed_spreader, Algorithm, DbscanBuilder, DynamicClusterer, FullDynDbscan, IncDbscan, Params,
+    PointId, SemiDynDbscan,
 };
 
 const EPS: f64 = 200.0; // PaperGrid::default_eps(2)
@@ -27,14 +27,14 @@ fn pool_spawn_is_lazy_and_reused_between_flushes() {
     assert!(!c.pool_spawned(), "per-op updates never touch the pool");
     c.insert_batch(&pts[1..10_001]);
     assert!(c.pool_spawned(), "a big flush spawns the crew");
-    let after_first = c.flush_stats().pool_reuse_count;
+    let after_first = c.stats().pool_reuse_count;
     c.insert_batch(&pts[10_001..]);
     assert!(
-        c.flush_stats().pool_reuse_count > after_first,
+        c.stats().pool_reuse_count > after_first,
         "the second flush must reuse the parked crew, not respawn it"
     );
-    assert!(c.flush_stats().phase1_parallel_tasks > 0, "placement pools");
-    assert!(c.flush_stats().parallel_cell_tasks > 0, "cell scans pool");
+    assert!(c.stats().phase1_parallel_tasks > 0, "placement pools");
+    assert!(c.stats().parallel_cell_tasks > 0, "cell scans pool");
 }
 
 #[test]
@@ -43,7 +43,7 @@ fn sequential_budget_never_spawns() {
     let mut semi = SemiDynDbscan::<2>::new(params()).with_threads(1);
     semi.insert_batch(&pts);
     assert!(!semi.pool_spawned(), "threads(1) is the inline path");
-    let s = semi.flush_stats();
+    let s = semi.stats();
     assert_eq!(s.parallel_workers, 0);
     assert_eq!(s.pool_reuse_count, 0);
     assert_eq!(s.phase1_parallel_tasks, 0);
@@ -67,7 +67,7 @@ fn threads_change_rebuilds_the_crew() {
     c = c.with_threads(4); // same budget: the parked crew survives
     assert!(c.pool_spawned());
     c.insert_batch(&pts[16_000..]);
-    assert!(c.flush_stats().parallel_workers > 0);
+    assert!(c.stats().parallel_workers > 0);
 }
 
 #[test]
@@ -90,13 +90,13 @@ fn incdbscan_pools_its_batched_range_queries() {
     let pts = seed_spreader::<2>(4_000, 9);
     let mut c = IncDbscan::<2>::new(Params::new(EPS, MIN_PTS)).with_threads(4);
     let ids = c.insert_batch(&pts);
-    let s = c.flush_stats();
+    let s = c.stats();
     assert!(s.parallel_workers > 0, "insert flush pools its queries");
     c.delete_batch(&ids[..2_000]);
-    assert!(c.flush_stats().parallel_workers > s.parallel_workers);
+    assert!(c.stats().parallel_workers > s.parallel_workers);
     let mut seq = IncDbscan::<2>::new(Params::new(EPS, MIN_PTS)).with_threads(1);
     seq.insert_batch(&pts);
-    assert_eq!(seq.flush_stats().parallel_workers, 0);
+    assert_eq!(seq.stats().parallel_workers, 0);
 }
 
 /// Deterministic property test: interleaved `insert_batch` /

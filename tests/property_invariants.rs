@@ -12,7 +12,9 @@
 
 use dydbscan::core::full::FullDynDbscan;
 use dydbscan::geom::SplitMix64;
-use dydbscan::{brute_force_exact, check_sandwich, relabel, Params, PointId, SemiDynDbscan};
+use dydbscan::{
+    brute_force_exact, check_sandwich, relabel, DynamicClusterer, Params, PointId, SemiDynDbscan,
+};
 
 const CASES: u64 = 48;
 

@@ -22,6 +22,9 @@
 //!   frames (unknown opcode, truncated body, hostile counts, absurd
 //!   length prefix) draw error responses or a closed connection, never
 //!   a server panic; the server keeps serving and shuts down cleanly.
+//! * `unrepresentable_rows_get_an_error_frame_and_ingest_survives` —
+//!   finite rows too large for a grid cell draw an error frame naming
+//!   the row; the ingest thread keeps applying later batches.
 
 use dydbscan_core::{
     DynamicClusterer, FullDynDbscan, GroupBy, Params, PointId, ShardedDbscan, SnapshotDelta,
@@ -430,4 +433,39 @@ fn malformed_bytes_get_error_responses_never_panics() {
     drop(fresh);
     let stats = server.join().unwrap();
     assert!(stats.epochs_monotone);
+}
+
+#[test]
+fn unrepresentable_rows_get_an_error_frame_and_ingest_survives() {
+    let server = Server::start(ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let (_, ids) = client.insert(&[[0.0, 0.0], [0.5, 0.0]]).unwrap();
+    // Finite but 10^12 apart at eps = 1: no i32 grid cell can hold them.
+    match client.insert(&[[1e12, 0.0], [2e12, 0.0]]) {
+        Err(dydbscan_serve::ClientError::Server(msg)) => {
+            assert!(
+                msg.contains("point 0") && msg.contains("too large"),
+                "{msg}"
+            )
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    // Nothing was applied, and the same connection keeps being served
+    // by a live ingest thread.
+    let (_, more) = client.insert(&[[0.0, 0.5], [0.5, 0.5]]).unwrap();
+    assert_eq!(
+        more,
+        vec![ids[1] + 1, ids[1] + 2],
+        "rejected rows mint no ids"
+    );
+    let g = client.group_all().unwrap();
+    assert_eq!(
+        g.groups,
+        vec![vec![0, 1, 2, 3]],
+        "the four valid rows cluster"
+    );
+    client.shutdown().unwrap();
+    drop(client);
+    let stats = server.join().unwrap();
+    assert_eq!(stats.batches, 2, "only the two valid batches were applied");
 }

@@ -19,35 +19,68 @@
 //! engines, so the *same* id sets feed `group_by` on both sides and
 //! [`GroupBy::normalize`] makes the partitions directly comparable.
 
+use dydbscan::core::ShardEngine;
 use dydbscan::geom::SplitMix64;
-use dydbscan::{Algorithm, DbscanBuilder, DynamicClusterer};
+use dydbscan::{
+    Algorithm, DbscanBuilder, DynamicClusterer, FullDynDbscan, Params, SemiDynDbscan, ShardedDbscan,
+};
 
 const EPS: f64 = 1.0;
 const MIN_PTS: usize = 4;
 
 /// Shard counts exercised against every reference (1 = the wrapper's
-/// own degenerate case, still distinct code from the raw engine).
+/// own degenerate case, still distinct code from the raw engine; see
+/// [`build_sharded`]).
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Approximation levels: exact and a coarse ρ that changes `eps_hi`,
 /// the ghost reach, and the aBCP probe geometry.
 const RHOS: [f64; 2] = [0.0, 0.25];
 
+/// The CI matrix sweeps this (1/2/4 on 4-vCPU runners): every
+/// equality below is also a bit-identical-at-every-thread-count claim
+/// about the wrapper's concurrent shard flushes.
+fn test_threads() -> Option<usize> {
+    std::env::var("DYDBSCAN_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|t| t.max(1))
+}
+
 fn build(algo: Algorithm, rho: f64, shards: Option<usize>) -> Box<dyn DynamicClusterer<2>> {
     let mut b = DbscanBuilder::new(EPS, MIN_PTS).rho(rho).algorithm(algo);
     if let Some(s) = shards {
         b = b.shards(s);
     }
-    // The CI matrix sweeps this (1/2/4 on 4-vCPU runners): every
-    // equality below is also a bit-identical-at-every-thread-count
-    // claim about the wrapper's concurrent shard flushes.
-    if let Some(t) = std::env::var("DYDBSCAN_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        b = b.threads(t.max(1));
+    if let Some(t) = test_threads() {
+        b = b.threads(t);
     }
     b.build::<2>().expect("valid configuration")
+}
+
+/// The sharded subject for `shards`. The builder turns `.shards(1)` into
+/// the raw engine, so the S = 1 leg builds the wrapper directly (same
+/// engines, same thread budget) to keep covering its degenerate case.
+fn build_sharded(algo: Algorithm, rho: f64, shards: usize) -> Box<dyn DynamicClusterer<2>> {
+    if shards > 1 {
+        return build(algo, rho, Some(shards));
+    }
+    fn one_shard<E: ShardEngine<2> + 'static>(
+        params: Params,
+        make: impl Fn(&Params) -> E,
+    ) -> Box<dyn DynamicClusterer<2>> {
+        let c = ShardedDbscan::new_with(params, 1, make);
+        Box::new(match test_threads() {
+            Some(t) => c.with_threads(t),
+            None => c,
+        })
+    }
+    let params = Params::new(EPS, MIN_PTS).with_rho(rho);
+    match algo {
+        Algorithm::SemiDynamic => one_shard(params, |p| SemiDynDbscan::new(*p).with_threads(1)),
+        Algorithm::FullyDynamic => one_shard(params, |p| FullDynDbscan::new(*p).with_threads(1)),
+        Algorithm::IncDbscan => unreachable!("IncDBSCAN does not shard"),
+    }
 }
 
 /// Asserts the subject and the reference agree exactly: same alive ids
@@ -92,7 +125,7 @@ fn sharded_matches_unsharded_on_clustered_workload() {
             let mut reference = build(algo, rho, None);
             let mut subjects: Vec<(usize, Box<dyn DynamicClusterer<2>>)> = SHARD_COUNTS
                 .iter()
-                .map(|&s| (s, build(algo, rho, Some(s))))
+                .map(|&s| (s, build_sharded(algo, rho, s)))
                 .collect();
             let mut rng = SplitMix64::new(0x10_5EED ^ (rho.to_bits().rotate_left(7)));
             for round in 0..6 {
@@ -142,7 +175,7 @@ fn boundary_straddling_chain_matches_and_stitches() {
             let mut reference = build(algo, rho, None);
             let mut subjects: Vec<(usize, Box<dyn DynamicClusterer<2>>)> = SHARD_COUNTS
                 .iter()
-                .map(|&s| (s, build(algo, rho, Some(s))))
+                .map(|&s| (s, build_sharded(algo, rho, s)))
                 .collect();
             // 160 links at 0.4 spacing = 64 units of chain: several
             // slab widths at every shard count and both ρ levels.
@@ -189,7 +222,7 @@ fn ghost_refresh_churn_matches_unsharded() {
         let mut reference = build(Algorithm::FullyDynamic, rho, None);
         let mut subjects: Vec<(usize, Box<dyn DynamicClusterer<2>>)> = SHARD_COUNTS
             .iter()
-            .map(|&s| (s, build(Algorithm::FullyDynamic, rho, Some(s))))
+            .map(|&s| (s, build_sharded(Algorithm::FullyDynamic, rho, s)))
             .collect();
         let blob = |x0: f64| -> Vec<[f64; 2]> {
             (0..12)
